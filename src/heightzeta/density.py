@@ -34,7 +34,7 @@ from scipy.special import zeta as _riemann_zeta
 from .boundary import divisor_coefficients, ep_rank, exponent_b
 from .catalog import CompactificationModel
 from .errors import NonconvergentError, NumericError, PoleError
-from .localfield import Place, padic, quad_oscillatory, residue_c
+from .localfield import Place, padic, quad_complex, residue_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -348,35 +348,47 @@ def char_bound_quantity(model, p: int, a, s) -> float:
 # archimedean densities
 
 
+def _box(M: float, b: float) -> float:
+    """int_0^M cos(b x) dx."""
+    return math.sin(b * M) / b if b != 0.0 else M
+
+
+def _cos_transform(f, lo: float, b: float) -> complex:
+    """int_lo^inf f(x) cos(b x) dx: one QAWF cosine call per real part of
+    f, or plain quadrature at b = 0, where the cosine weight is wrong."""
+    if b == 0.0:
+        return quad_complex(f, lo, math.inf)[0]
+    return quad_complex(f, lo, math.inf, weight="cos", wvar=b)[0]
+
+
 def _arch_transform_max1d(a: float, w: complex) -> complex:
-    """int max(1,|x|)^{-w} psi(ax) dx on R; exact split at |x| = 1 with the
-    oscillatory remainder handled by a Fourier-weight quadrature."""
+    """int max(1,|x|)^{-w} psi(ax) dx on R.  The integrand is even, so this
+    is 2 int_0^inf max(1,x)^{-w} cos(2 pi a x) dx, split at x = 1."""
     if a == 0.0:
         return 2.0 + 2.0 / (w - 1.0)
-    inner = math.sin(TWO_PI * a) / (math.pi * a)
-    outer, _ = quad_oscillatory(lambda x: x ** (-w), 1.0, math.inf, TWO_PI * a)
-    outer2, _ = quad_oscillatory(lambda x: x ** (-w), 1.0, math.inf, -TWO_PI * a)
-    return inner + outer + outer2
+    b = TWO_PI * abs(a)
+    return 2.0 * _box(1.0, b) + 2.0 * _cos_transform(lambda x: x ** (-w), 1.0, b)
 
 
 def _arch_joint_max(model, a, w: complex) -> complex:
-    """int max(1,|x|,|y|)^{-w} psi(a1 x + a2 y) dx dy for the plane models."""
-    a1, a2 = float(a[0]), float(a[1])
-    if a1 == 0.0 and a2 == 0.0:
+    """int max(1,|x|,|y|)^{-w} psi(a1 x + a2 y) dx dy for the plane models,
+    as the cosine transform 4 int_0^inf int_0^inf max(1,x,y)^{-w}
+    cos(b1 x) cos(b2 y) dx dy with b_i = 2 pi |a_i|."""
+    b1, b2 = TWO_PI * abs(float(a[0])), TWO_PI * abs(float(a[1]))
+    if b1 == 0.0 and b2 == 0.0:
         return 4.0 + 8.0 / (w - 2.0)
+    if b2 == 0.0:
+        # the integrand is symmetric in x and y; a zero frequency is cheaper
+        # on the inner integral, which is then not oscillatory
+        b1, b2 = b2, b1
 
     def inner(y: float) -> complex:
-        M = max(1.0, abs(y))
-        head = M ** (-w) * (math.sin(TWO_PI * a1 * M) / (math.pi * a1) if a1 != 0.0 else 2.0 * M)
-        t1, _ = quad_oscillatory(lambda x: x ** (-w), M, math.inf, TWO_PI * a1)
-        t2, _ = quad_oscillatory(lambda x: x ** (-w), M, math.inf, -TWO_PI * a1)
-        return head + t1 + t2
+        # the transform in x is closed-form on [0, M], M = max(1, y)
+        M = max(1.0, y)
+        return M ** (-w) * _box(M, b1) + _cos_transform(lambda x: x ** (-w), M, b1)
 
-    # outer integral over y, split at |y| = 1
-    v1, _ = quad_oscillatory(lambda y: inner(y), -1.0, 1.0, TWO_PI * a2)
-    v2, _ = quad_oscillatory(lambda y: inner(y), 1.0, math.inf, TWO_PI * a2)
-    v3, _ = quad_oscillatory(lambda y: inner(-y), 1.0, math.inf, -TWO_PI * a2)
-    return v1 + v2 + v3
+    # inner(y) is constant on [0, 1]
+    return 4.0 * (inner(1.0) * _box(1.0, b2) + _cos_transform(inner, 1.0, b2))
 
 
 def _quad_max1d(w: float) -> float:

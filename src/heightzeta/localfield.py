@@ -30,6 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import hankel1e, j0
 
 from .errors import NonconvergentError, PoleError
 
@@ -529,13 +530,23 @@ class RadialBump:
 # quadrature helpers (QUADPACK behind a complex-valued facade)
 
 
-def quad_complex(f, a, b, *, points=None, epsabs=1e-12, epsrel=1e-10, limit=400):
-    """Adaptive integral of a complex-valued function; returns (value, err)."""
+def quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, epsrel=1e-10, limit=400):
+    """Adaptive integral of a complex-valued function; returns (value, err).
+
+    With ``weight`` "cos" or "sin" the integrand is f(t) cos(wvar t) or
+    f(t) sin(wvar t), integrated by QAWO (QAWF when b is infinite).  The
+    Fourier weights are inaccurate at wvar = 0, so callers integrate that
+    case without a weight."""
+    kwargs = dict(epsabs=epsabs, epsrel=epsrel, full_output=1)
+    if weight is None:
+        kwargs.update(points=points, limit=limit)
+    else:
+        kwargs.update(weight=weight, wvar=wvar)
+        if not math.isinf(b):
+            kwargs["limit"] = limit
 
     def part(g):
-        val, err, *_ = quad(
-            g, a, b, points=points, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1
-        )
+        val, err, *_ = quad(g, a, b, **kwargs)
         return val, err
 
     re, e1 = part(lambda t: f(t).real)
@@ -546,22 +557,34 @@ def quad_complex(f, a, b, *, points=None, epsabs=1e-12, epsrel=1e-10, limit=400)
 def quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
     """Integral of f(t) e^{-i omega t} over [a, b] (b may be inf) with the
     oscillation handled by QAWO/QAWF; returns (value, err)."""
+    kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
     if omega == 0.0:
-        return quad_complex(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+        return quad_complex(f, a, b, **kw)
+    c, e1 = quad_complex(f, a, b, weight="cos", wvar=omega, **kw)
+    s, e2 = quad_complex(f, a, b, weight="sin", wvar=omega, **kw)
+    return complex(c.real + s.imag, c.imag - s.real), e1 + e2
 
-    def part(g, weight):
-        kwargs = dict(weight=weight, wvar=omega, epsabs=epsabs, epsrel=epsrel, full_output=1)
-        if not math.isinf(b):
-            kwargs["limit"] = limit
-        val, err, *_ = quad(g, a, b, **kwargs)
-        return val, err
 
-    c_re, e1 = part(lambda t: f(t).real, "cos")
-    c_im, e2 = part(lambda t: f(t).imag, "cos")
-    s_re, e3 = part(lambda t: f(t).real, "sin")
-    s_im, e4 = part(lambda t: f(t).imag, "sin")
-    value = complex(c_re + s_im, c_im - s_re)
-    return value, e1 + e2 + e3 + e4
+def radial_j0_integral(g, R: float, X: float, d: int = 1, *, epsrel: float = 1e-10):
+    """int_0^R g(r) J_0(X r^d) dr for X >= 0; returns (value, err).
+
+    The range is split at X r^d = 1.  The near side is integrated with J_0
+    itself.  On the far side t = r^d, and J_0(Xt) = Re(H(t) e^{iXt}) with
+    H(t) = hankel1e(0, Xt) smooth, so Re H and Im H go under the QAWO
+    cosine and sine weights at frequency X."""
+    rho = R if X * R**d <= 1.0 else X ** (-1.0 / d)
+    total, err = quad_complex(lambda r: g(r) * j0(X * r**d), 0.0, rho, epsrel=epsrel)
+    if rho < R:
+        G = lambda t: g(t ** (1.0 / d)) * t ** (1.0 / d - 1.0) / d
+        c, e1 = quad_complex(
+            lambda t: G(t) * hankel1e(0, X * t).real, rho**d, R**d, weight="cos", wvar=X, epsrel=epsrel
+        )
+        s, e2 = quad_complex(
+            lambda t: G(t) * hankel1e(0, X * t).imag, rho**d, R**d, weight="sin", wvar=X, epsrel=epsrel
+        )
+        total += c - s
+        err += e1 + e2
+    return total, err
 
 
 # ---------------------------------------------------------------------------
@@ -585,17 +608,10 @@ def tate_integral(place: Place, phi, s) -> complex:
         pts = [0.0] if lo < 0.0 < hi else None
         val, _err = quad_complex(f, lo, hi, points=pts)
         return val
-    # complex place: 2 * int dtheta int r^{2s-1} Phi(r e^{i theta}) dr
-    R = phi.radius
-    thetas, wts = np.polynomial.legendre.leggauss(64)
-    thetas = (thetas + 1.0) * math.pi
-    wts = wts * math.pi
-    total = 0j
-    for th, w in zip(thetas, wts):
-        g = lambda r: 2.0 * (r ** (2.0 * s - 1.0)) * phi(r * cmath.exp(1j * th))
-        val, _ = quad_complex(g, 0.0, R)
-        total += w * val
-    return total
+    # complex place: dz = 2 dA, so 4 pi int_0^R r^{2s-1} Phi(r) dr
+    g = lambda r: 4.0 * math.pi * r ** (2.0 * s - 1.0) * phi.profile(r)
+    val, _err = radial_j0_integral(g, phi.radius, 0.0)
+    return val
 
 
 def _tate_finite(phi: StepFunction, s: complex) -> complex:
@@ -638,20 +654,10 @@ class ArchFourierTransform:
             lo, hi = self.phi.support
             val, _ = quad_oscillatory(lambda x: complex(self.phi(x)), lo, hi, TWO_PI * float(a))
             return val
-        # complex place: int Phi(z) psi(az) dz, dz = 2 dA
-        R = self.phi.radius
-        a = complex(a)
-        thetas, wts = np.polynomial.legendre.leggauss(96)
-        thetas = (thetas + 1.0) * math.pi
-        wts = wts * math.pi
-        total = 0j
-        for th, w in zip(thetas, wts):
-            zdir = cmath.exp(1j * th)
-            om = 4.0 * math.pi * (a * zdir).real  # phase e^{-i om r}
-            g = lambda r: 2.0 * r * complex(self.phi(r * zdir))
-            val, _ = quad_oscillatory(g, 0.0, R, om)
-            total += w * val
-        return total
+        # complex place: int Phi(z) psi(az) dz = 4 pi int_0^R r Phi(r) J_0(4 pi |a| r) dr
+        g = lambda r: 4.0 * math.pi * r * self.phi.profile(r)
+        val, _ = radial_j0_integral(g, self.phi.radius, 4.0 * math.pi * abs(complex(a)))
+        return val
 
 
 def fourier_test_fn(place: Place, phi):

@@ -9,9 +9,10 @@ stop at residue depth ~ log_p|a|/2 instead of log_p|a|.
 
 Archimedean integrals are adaptive quadrature: the domain is split at
 eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
-turns the phase into a linear one handled by QAWO/QAWF.  Complex-place
-integrals are reduced to radial integrals in polar coordinates, with the
-angular grid refined near the zeros of cos(d*theta + alpha).
+turns the phase into a linear one handled by QAWO/QAWF.  At the complex
+place the test function is radial, so the angular integral is exact,
+int_0^{2 pi} e^{-iX cos(d theta + alpha)} dtheta = 2 pi J_0(X), and what
+remains is one radial integral against J_0(4 pi |a| r^d).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .localfield import (
     padic,
     quad_complex,
     quad_oscillatory,
+    radial_j0_integral,
     zeta_local,
 )
 
@@ -265,31 +267,11 @@ def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> Osc
 
 
 def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex, epsrel: float) -> OscillatoryResult:
-    a = complex(a)
-    omega = abs(a)
-    alpha = cmath.phase(a) if omega > 0 else 0.0
-    R = phi.radius
-
-    def radial(theta: float) -> complex:
-        A = 2.0 * omega * math.cos(d * theta + alpha)
-        v, _ = _osc_halfline(lambda r: 2.0 * complex(phi.profile(r)), R, A, d, 2.0 * s, epsrel)
-        return v
-
-    # fixed angular panels, refined near the zeros of cos(d theta + alpha)
-    base = np.linspace(0.0, 2.0 * math.pi, 64 * max(1, d) + 1)
-    nodes, wts = np.polynomial.legendre.leggauss(8)
-    total = 0j
-    for th0, th1 in zip(base[:-1], base[1:]):
-        mid = 0.5 * (th0 + th1)
-        depth = 2 if abs(math.cos(d * mid + alpha)) < 0.15 and omega > 10 else 0
-        for k in range(2**depth):
-            aa = th0 + (th1 - th0) * k / 2**depth
-            bb = th0 + (th1 - th0) * (k + 1) / 2**depth
-            half = 0.5 * (bb - aa)
-            ctr = 0.5 * (aa + bb)
-            for x, w in zip(nodes, wts):
-                total += w * half * radial(ctr + half * x)
-    return OscillatoryResult(total, _envelope(Place.complex_(), a, d, s), exact=False, error=None)
+    # dz = 2 dA and |z|_C = r^2; the angular integral of
+    # e^{-4 pi i |a| r^d cos(d theta + alpha)} is 2 pi J_0(4 pi |a| r^d)
+    g = lambda r: 4.0 * math.pi * r ** (2.0 * s - 1.0) * phi.profile(r)
+    val, err = radial_j0_integral(g, phi.radius, 4.0 * math.pi * abs(complex(a)), d, epsrel=epsrel)
+    return OscillatoryResult(val, _envelope(Place.complex_(), a, d, s), exact=False, error=err)
 
 
 def osc_integral_1d(

@@ -104,13 +104,19 @@ def test_arch_quadrature_matches_closed_forms():
 
 
 def test_arch_oscillatory_vs_reference():
-    # E1, a = 1, s = 3 against an independent high-precision quadrature
-    got = arch_density(get_model("E1"), 1, 3.0)
-    osc = mpmath.quadosc(
-        lambda x: mpmath.power(x, -3) * mpmath.cos(2 * mpmath.pi * x), [1, mpmath.inf], period=1
-    )
-    ref = complex(2 * osc)  # the inner [-1,1] piece vanishes at integer a
-    assert abs(got - ref) < 1e-10
+    # E1, a = 1 against an independent high-precision quadrature of the
+    # real and imaginary parts; the inner [-1,1] piece vanishes at integer a
+    for s in (3.0, 3.0 + 0.5j):
+        got = arch_density(get_model("E1"), 1, s)
+        w = mpmath.mpmathify(s)
+
+        def part(take):
+            return mpmath.quadosc(
+                lambda x: take(mpmath.power(x, -w)) * mpmath.cos(2 * mpmath.pi * x), [1, mpmath.inf], period=1
+            )
+
+        ref = 2 * complex(part(mpmath.re), part(mpmath.im))
+        assert abs(got - ref) < 1e-10, s
 
 
 def test_arch_joint_character():
@@ -121,6 +127,17 @@ def test_arch_joint_character():
     W = np.maximum(1, np.maximum(np.abs(X), np.abs(Y))) ** (-3.2) * np.exp(-2j * np.pi * X)
     brute = np.trapezoid(np.trapezoid(W, xs, axis=1), xs)
     assert abs(got - brute) < 5e-4
+
+
+def test_arch_joint_character_axis():
+    # a = (0, 1): the x-transform has frequency 0, where the cosine weight
+    # is not used.  The x-integral is 2 M^{1-w} w/(w-1), M = max(1, |y|),
+    # and the [-1, 1] piece of the y-integral vanishes at a2 = 1
+    w = 3.2
+    got = arch_density(get_model("E3"), (0, 1), w / 2)
+    tail = mpmath.quadosc(lambda y: mpmath.power(y, 1 - w) * mpmath.cos(2 * mpmath.pi * y), [1, mpmath.inf], period=1)
+    ref = float(2 * w / (w - 1) * 2 * tail)
+    assert abs(got - ref) < 1e-10
 
 
 # ---------------------------------------------------------------------------
