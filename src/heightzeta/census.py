@@ -1,19 +1,25 @@
-"""Exhaustive counts of S-integral points of bounded height, height-ball
+"""Exact counts of S-integral points of bounded height, height-ball
 volumes, log-power asymptotic fits, the Poisson-summation cross-check,
 and equidistribution tables.
 
-Counting is exact integer arithmetic throughout: outer coordinates are
-enumerated (in parallel over slabs when requested, reduced in fixed slab
-order), and the innermost coordinate is counted by interval length, with
-coprimality handled by Moebius inclusion-exclusion over the finitely many
-S-primes or denominators involved.  Heights are compared as exact
-rationals, so no point near the boundary is ever miscounted.
+Every catalog height zeta function factors into one-dimensional ones, so
+N(B) is a Dirichlet convolution of simple height counts, and counting
+runs on n = floor(B) (floor(B/h^k) = floor(n/h^k) for integer h).  Two
+exact primitives cover the catalog: the product convolution
+sum_h (C_X(h) - C_X(h-1)) A_Y(floor(n/h^k)), summed over blocks of h with
+equal floor(n/h^k) (E1, E2, E4, E5), and the joint-max Moebius sum over
+common denominators F <= T of pairs of numerators not both divisible by
+a prime of F (E3, E6).  Everything is Python integer arithmetic, with
+int64 only where the budget bounds the values, so no point near the
+boundary is ever miscounted and the result does not depend on a thread
+count.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -24,10 +30,10 @@ from scipy.special import zeta as _riemann_zeta
 
 from .catalog import CompactificationModel
 from .density import arch_density, fourier_finite, s_vector
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, NumericError
 from .localfield import Place
 
-NODE_CAP = 200_000_000  # hard budget on enumerated outer nodes
+NODE_CAP = 200_000_000  # hard budget on the _WORK proxy of one count
 
 
 @dataclass
@@ -65,14 +71,73 @@ class PoissonCheck:
 
 
 # ---------------------------------------------------------------------------
-# counting helpers
+# exact integer arithmetic
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, without floats."""
+    if k == 2:
+        return isqrt(n)
+    if k == 1 or n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # above the root, since n < 2^bit_length
+    while True:  # integer Newton steps decrease to the floor of the root
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _phi_upto(n: int) -> np.ndarray:
+    """Euler phi(0..n) as int64: the primes up to sqrt(n) by slices, then
+    the at most one prime factor above sqrt(n) that each index keeps."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    rest = phi.copy()
+    for p in range(2, isqrt(n) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+            pk = p
+            while pk <= n:
+                rest[pk::pk] //= p
+                pk *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    return phi
+
+
+def _mobius_sum(T: int, f: Callable[[int], int]) -> int:
+    """sum_{d <= T} mu(d) f(floor(T/d)) without a Moebius sieve.  The sum
+    P(t) satisfies f(t) = sum_{g <= t} P(floor(t/g)), solved for P over the
+    O(sqrt T) values floor(T/g) in increasing order, O(T^(3/4)) steps
+    (Deleglise-Rivat)."""
+    r = isqrt(T)
+    P: dict[int, int] = {}
+    for v in sorted({T // g for g in range(1, r + 1)} | set(range(1, r + 1))):
+        acc, g = f(v), 2
+        while g <= v:
+            q = v // g
+            top = v // q
+            acc -= (top - g + 1) * P[q]
+            g = top + 1
+        P[v] = acc
+    return P[T]
+
+
+def _divisor_sum(n: int) -> int:
+    """D(n) = sum_{h <= n} floor(n/h) by the hyperbola method."""
+    r = isqrt(n)
+    return 2 * sum(n // h for h in range(1, r + 1)) - r * r
+
+
+# ---------------------------------------------------------------------------
+# height counts and their convolutions
 
 
 def _sf_primes(S: Sequence[Place]) -> list[int]:
     return sorted(v.prime for v in S if v.is_finite)
 
 
-def _s_power_denoms(primes: list[int], bound: Fraction) -> list[tuple[int, tuple[int, ...]]]:
+def _s_power_denoms(primes: list[int], bound: Fraction | int) -> list[tuple[int, tuple[int, ...]]]:
     """All e = prod p^{k_p} <= bound with their prime supports."""
     out = [(1, ())]
     for p in primes:
@@ -87,21 +152,33 @@ def _s_power_denoms(primes: list[int], bound: Fraction) -> list[tuple[int, tuple
     return sorted(set(out))
 
 
-def _count_coprime(limit: int, primes: tuple[int, ...]) -> int:
-    """#{m : |m| <= limit, gcd(m, prod primes) = 1} by inclusion-exclusion."""
-    if limit < 0:
-        return 0
-    total = 0
-    k = len(primes)
-    for mask in range(1 << k):
-        d = 1
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                d *= primes[i]
-                bits += 1
-        total += (-1) ** bits * (2 * (limit // d) + 1)
-    return total
+class _SUnits:
+    """The S-unit denominators e <= n, sorted within groups of equal prime
+    support, each support with its squarefree divisors d and mu(d); built
+    once per count."""
+
+    def __init__(self, primes: list[int], n: int):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for e, supp in _s_power_denoms(primes, n):
+            groups.setdefault(supp, []).append(e)
+        self._groups = []
+        for supp, es in groups.items():
+            divs = [(1, 1)]
+            for p in supp:
+                divs += [(d * p, -mu) for d, mu in divs]
+            self._groups.append((es, divs))
+
+    def count(self, q: int, j: int = 1) -> int:
+        """sum_{e <= q} sum_{d | rad e} mu(d) (2 floor(q/d) + 1)^j.  For j = 1
+        this is A_S(q), the number of x = m/e in Z[1/S] of height
+        max(e, |m|) <= q; for j = 2 it is the number of (e, a, b) with
+        max(e, |a|, |b|) <= q and no prime of e dividing both a and b."""
+        total = 0
+        for es, divs in self._groups:
+            c = bisect_right(es, q)
+            if c:
+                total += c * sum(mu * (2 * (q // d) + 1) ** j for d, mu in divs)
+        return total
 
 
 def count_sintegers(B: Fraction, primes: list[int]) -> int:
@@ -110,68 +187,74 @@ def count_sintegers(B: Fraction, primes: list[int]) -> int:
     B = Fraction(B)
     if B < 1:
         return 0
-    limit = math.floor(B)
-    total = 0
-    for e, supp in _s_power_denoms(primes, B):
-        if e == 1:
-            total += 2 * limit + 1
-        else:
-            total += _count_coprime(limit, supp)
+    n = math.floor(B)
+    return _SUnits(primes, n).count(n)
+
+
+def _convolve(n: int, k: int, C_X: Callable[[int], int], A_Y: Callable[[int], int]) -> int:
+    """sum_{h >= 1} (C_X(h) - C_X(h-1)) A_Y(floor(n/h^k)) with C_X(0) = 0:
+    the points (x, y) with H(x)^k H(y) <= n, given the cumulative height
+    counts of x and y, summed over blocks of h with equal floor(n/h^k)."""
+    total, h, below = 0, 1, 0
+    while h**k <= n:
+        q = n // h**k
+        top = iroot(n // q, k)  # the last h with floor(n/h^k) = q
+        at = C_X(top)
+        total += (at - below) * A_Y(q)
+        below, h = at, top + 1
     return total
 
 
-def _chunks(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
-    if hi <= lo:
-        return []
-    step = max(1, (hi - lo + pieces - 1) // pieces)
-    return [(a, min(hi, a + step)) for a in range(lo, hi, step)]
+def _count(model_id: str, n: int, primes: list[int]) -> int:
+    """N(B) for n = floor(B) >= 1.  Rational coordinates (E2, E4's x, E6)
+    are integral everywhere, so the finite places of S do not enter."""
+    if model_id == "E2":  # C_Q(sqrt n), C_Q(h) = 4 Phi(h) - 1
+        return 4 * int(_phi_upto(isqrt(n)).sum()) - 1
+    if model_id == "E6":  # every F <= T is a denominator: t (2t + 1)^2 pairs per d
+        return _mobius_sum(iroot(n, 3), lambda t: t * (2 * t + 1) ** 2)
+    if model_id == "E5" and not primes:
+        return 4 * _divisor_sum(n) + 4 * n + 1
+    if model_id == "E3":  # common S-unit denominator F <= sqrt n
+        T = isqrt(n)
+        return _SUnits(primes, T).count(T, 2)
+    units = _SUnits(primes, n)
+    if model_id == "E1":
+        return units.count(n)
+    if model_id == "E4":
+        Phi = np.cumsum(_phi_upto(isqrt(n)))
+        return _convolve(n, 2, lambda h: 4 * int(Phi[h]) - 1, units.count)
+    return _convolve(n, 1, units.count, units.count)  # E5
 
 
-def _parallel_sum(jobs: list, worker: Callable, threads: int) -> int:
-    if threads <= 1 or len(jobs) <= 1:
-        return sum(worker(j) for j in jobs)
-    from concurrent.futures import ThreadPoolExecutor
+# budget proxies in integers of n = floor(B), times 4^{#finite places}
+_WORK = {
+    "E1": lambda n: 64,
+    "E2": isqrt,
+    "E3": lambda n: 64,
+    "E4": lambda n: 2 * n,
+    "E5": lambda n: n,
+    "E6": lambda n: 8 * iroot(n, 3),
+}
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return sum(ex.map(worker, jobs))  # map preserves order; sum is in job order
+
+def enumerate_points(model: CompactificationModel, S: Sequence[Place], B, threads: int = 1) -> int:
+    """Exact N(B) = #{x in G(Q), S-integral, H(x; lambda) <= B}.
+
+    ``threads`` is accepted for interface stability; the count runs in
+    one thread and does not depend on it."""
+    B = Fraction(B)
+    if B < 1:
+        return 0
+    n = math.floor(B)
+    primes = _sf_primes(S)
+    if _WORK[model.id](n) * 4 ** len(primes) > NODE_CAP:
+        shown = f"{float(B):g}" if B < 1e300 else f"~1e{len(str(n)) - 1}"  # float(B) overflows past 1e308
+        raise BudgetExceededError(f"B = {shown} exceeds the enumeration budget for {model.id}")
+    return _count(model.id, n, primes)
 
 
 # ---------------------------------------------------------------------------
-# per-model exact enumeration
-
-
-def _count_E1(B: Fraction, primes, threads) -> int:
-    denoms = _s_power_denoms(primes, B)
-    limit = math.floor(B)
-
-    def worker(chunk):
-        lo, hi = chunk
-        acc = 0
-        for e, supp in denoms[lo:hi]:
-            acc += 2 * limit + 1 if e == 1 else _count_coprime(limit, supp)
-        return acc
-
-    return _parallel_sum(_chunks(0, len(denoms), 4 * max(1, threads)), worker, threads)
-
-
-def _count_E2(B: Fraction, primes, threads) -> int:
-    # rational points: x = m/n lowest terms, height max(|m|, n)^2
-    T = isqrt(math.floor(B))
-    if T < 1:
-        return 0
-
-    def worker(chunk):
-        lo, hi = chunk
-        acc = 0
-        for nden in range(lo, hi):
-            if nden == 1:
-                acc += 2 * T + 1
-                continue
-            supp = tuple(sorted({f for f in _prime_factors(nden)}))
-            acc += _count_coprime(T, supp)
-        return acc
-
-    return _parallel_sum(_chunks(1, T + 1, 4 * max(1, threads)), worker, threads)
+# height-ball volumes
 
 
 def _prime_factors(nden: int):
@@ -186,174 +269,12 @@ def _prime_factors(nden: int):
         yield nden
 
 
-def _count_E3(B: Fraction, primes, threads) -> int:
-    total = 0
-    for e1, s1 in _s_power_denoms(primes, B):
-        for e2, s2 in _s_power_denoms(primes, B):
-            F = 1
-            for p in set(s1) | set(s2):
-                k = _padic_exp(e1, p)
-                l = _padic_exp(e2, p)
-                F *= p ** max(k, l)
-            # max(1, |m1|/e1, |m2|/e2) <= sqrt(B)/F, coordinatewise
-            cap = B / (F * F)
-            if cap < 1:
-                continue
-            m1 = isqrt(math.floor(cap * e1 * e1))
-            m2 = isqrt(math.floor(cap * e2 * e2))
-            c1 = 2 * m1 + 1 if e1 == 1 else _count_coprime(m1, s1)
-            c2 = 2 * m2 + 1 if e2 == 1 else _count_coprime(m2, s2)
-            total += c1 * c2
-    return total
-
-
 def _padic_exp(e: int, p: int) -> int:
     k = 0
     while e % p == 0:
         e //= p
         k += 1
     return k
-
-
-def _count_E4(B: Fraction, primes, threads) -> int:
-    # x in Q arbitrary (height max(|num|, den)^2), y an S-integer
-    T = isqrt(math.floor(B))
-    if T < 1:
-        return 0
-    inner_cache: dict[int, int] = {}
-
-    def inner(h: int) -> int:
-        if h not in inner_cache:
-            inner_cache[h] = count_sintegers(B / (h * h), primes)
-        return inner_cache[h]
-
-    for h in range(1, T + 1):
-        inner(h)
-
-    def worker(chunk):
-        lo, hi = chunk
-        acc = 0
-        for c in range(lo, hi):
-            nums = np.arange(-T, T + 1)
-            mask = np.gcd(nums, c) == 1
-            hs = np.maximum(np.abs(nums[mask]), c)
-            vals, cnts = np.unique(hs, return_counts=True)
-            acc += int(sum(cnt * inner(int(h)) for h, cnt in zip(vals, cnts)))
-        return acc
-
-    return _parallel_sum(_chunks(1, T + 1, 4 * max(1, threads)), worker, threads)
-
-
-def _sint_height_buckets(B: Fraction, primes) -> dict[int, int]:
-    """#{x in Z[1/S] : height = h} for h <= B."""
-    limit = math.floor(B)
-    buckets: dict[int, int] = {}
-    for e, supp in _s_power_denoms(primes, B):
-        if e == 1:
-            buckets[1] = buckets.get(1, 0) + 3  # {-1, 0, 1}
-            for h in range(2, limit + 1):
-                buckets[h] = buckets.get(h, 0) + 2
-        else:
-            # height max(e, |m|): |m| <= e gives h = e, |m| = h > e gives h
-            buckets[e] = buckets.get(e, 0) + _count_coprime(e, supp)
-            for h in range(e + 1, limit + 1):
-                ok = all(h % p for p in supp)
-                if ok:
-                    buckets[h] = buckets.get(h, 0) + 2
-    return buckets
-
-
-def _count_E5(B: Fraction, primes, threads) -> int:
-    limit = math.floor(B)
-    if limit < 1:
-        return 0
-    if not primes:
-        Bnum, Bden = B.numerator, B.denominator
-
-        def worker(chunk):
-            lo, hi = chunk
-            hs = np.arange(lo, hi, dtype=np.int64)
-            inner = 2 * (Bnum // (hs * Bden)) + 1
-            acc = int(np.sum(2 * inner))
-            if lo == 1:
-                acc += int(inner[0])  # x = 0 fiber on top of x = +-1
-            return acc
-
-        return _parallel_sum(_chunks(1, limit + 1, 8 * max(1, threads)), worker, threads)
-    buckets = _sint_height_buckets(B, primes)
-    total = 0
-    for h, cnt in sorted(buckets.items()):
-        total += cnt * count_sintegers(B / h, primes)
-    return total
-
-
-def _int_cbrt(n: int) -> int:
-    t = round(n ** (1.0 / 3.0))
-    while t * t * t > n:
-        t -= 1
-    while (t + 1) ** 3 <= n:
-        t += 1
-    return t
-
-
-def _count_E6(B: Fraction, primes, threads) -> int:
-    T = _int_cbrt(math.floor(B))
-    if T < 1:
-        return 0
-
-    def worker(chunk):
-        lo, hi = chunk
-        acc = 0
-        for c in range(lo, hi):
-            supp = tuple(sorted(set(_prime_factors(c)))) if c > 1 else ()
-            k = len(supp)
-            for mask in range(1 << k):
-                d = 1
-                bits = 0
-                for i in range(k):
-                    if mask >> i & 1:
-                        d *= supp[i]
-                        bits += 1
-                acc += (-1) ** bits * (2 * (T // d) + 1) ** 2
-        return acc
-
-    return _parallel_sum(_chunks(1, T + 1, 4 * max(1, threads)), worker, threads)
-
-
-_COUNTERS = {
-    "E1": _count_E1,
-    "E2": _count_E2,
-    "E3": _count_E3,
-    "E4": _count_E4,
-    "E5": _count_E5,
-    "E6": _count_E6,
-}
-
-
-_WORK = {
-    "E1": lambda B: 64.0,
-    "E2": lambda B: math.sqrt(B),
-    "E3": lambda B: 64.0,
-    "E4": lambda B: 2.0 * B,
-    "E5": lambda B: B,
-    "E6": lambda B: B ** (1.0 / 3.0) * 8,
-}
-
-
-def enumerate_points(model: CompactificationModel, S: Sequence[Place], B, threads: int = 1) -> int:
-    """Exact N(B) = #{x in G(Q), S-integral, H(x; lambda) <= B}."""
-    B = Fraction(B)
-    if B < 1:
-        return 0
-    primes = _sf_primes(S)
-    work = _WORK[model.id](float(B)) * (4 ** len(primes))
-    if work > NODE_CAP:
-        raise BudgetExceededError(f"B = {float(B):g} exceeds the enumeration budget for {model.id}")
-    return _COUNTERS[model.id](B, primes, threads)
-
-
-# ---------------------------------------------------------------------------
-# height-ball volumes
 
 
 def _J(e: int) -> int:
@@ -400,12 +321,12 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B, seed: int = 0)
     if mid == "E2":
         T = math.sqrt(Bf)
         ds = np.arange(1, int(T) + 1)
-        phis = _phi_sieve(int(T))
+        phis = _phi_upto(int(T))[1:].astype(float)
         return 2.0 * T * float(np.sum(phis / ds))
     if mid == "E4":
         total = 0.0
         T = int(math.sqrt(Bf))
-        phis = _phi_sieve(T)
+        phis = _phi_upto(T)[1:].astype(float)
         for e, _ in _s_power_denoms(primes, B):
             for d in range(1, T + 1):
                 Teff = Bf / (d * d * e)
@@ -413,7 +334,7 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B, seed: int = 0)
                     total += phis[d - 1] * _J(e) * (8.0 * Teff - 4.0 * math.sqrt(Teff))
         return total
     if mid == "E6":
-        T = _int_cbrt(math.floor(B))
+        T = iroot(math.floor(B), 3)
         total = 0.0
         for d in range(1, T + 1):
             J2 = 1
@@ -427,14 +348,6 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B, seed: int = 0)
     raise ConfigError(f"volume_V does not support {mid}")
 
 
-def _phi_sieve(n: int) -> np.ndarray:
-    phi = np.arange(n + 1)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # prime
-            phi[p::p] -= phi[p::p] // p
-    return phi[1:].astype(float)
-
-
 def count_table(model, S, Bs, threads: int = 1, with_volume: bool = True) -> CountTable:
     table = CountTable(model.id, tuple(str(v) for v in S))
     for B in Bs:
@@ -443,7 +356,10 @@ def count_table(model, S, Bs, threads: int = 1, with_volume: bool = True) -> Cou
         V = volume_V(model, S, B) if with_volume else float("nan")
         table.add(B, N, V, time.perf_counter() - t0)
     for r1, r2 in zip(table.rows, table.rows[1:]):
-        assert r2["N"] >= r1["N"], "counts must be nondecreasing in B"
+        if r2["N"] < r1["N"]:
+            raise NumericError(
+                f"counts must be nondecreasing in B: N({r1['B']:g}) = {r1['N']} > N({r2['B']:g}) = {r2['N']}"
+            )
     return table
 
 
@@ -516,7 +432,7 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         if w <= 2.0:
             raise ConfigError("need s > 1 along the log-anticanonical direction")
         T = min(height_cutoff, 20000)
-        phis = _phi_sieve(T)
+        phis = _phi_upto(T)[1:].astype(float)
         hs = np.arange(1, T + 1, dtype=float)
         lhs = 3.0 + float(np.sum(4.0 * phis[1:] * hs[1:] ** (-w)))
         lhs_tail = (24.0 / math.pi**2) * T ** (2.0 - w) / (w - 2.0)
@@ -573,7 +489,8 @@ def equidistribution_test(model, S, B, regions: list[Region] | None = None, thre
     """Empirical fractions of points of height <= B in each region versus
     the limit-measure prediction (the catalog limit measures are invariant
     under the coordinate sign flips and, for E5, the coordinate swap, so
-    the predictions are the symmetry-orbit fractions)."""
+    the predictions are the symmetry-orbit fractions).  ``threads`` is
+    accepted for interface stability and does not change the result."""
     B = Fraction(B)
     primes = _sf_primes(S)
     if primes:
@@ -595,17 +512,8 @@ def _region_count(model_id: str, B: Fraction, reg: Region) -> int:
     if model_id == "E3" and reg.kind == "quadrant":
         T = isqrt(limit)
         return T * T  # strict quadrant
-    if model_id == "E5":
-        if reg.kind == "abs_le":
-            total = 0
-            for x in range(-limit, limit + 1):
-                Y = math.floor(B / max(1, abs(x)))
-                ax = abs(x)
-                if ax > Y:
-                    continue
-                cnt = 2 * (Y - ax + 1)
-                if ax == 0:
-                    cnt -= 1  # y = 0 counted once
-                total += cnt
-            return total
+    if model_id == "E5" and reg.kind == "abs_le":
+        # x = 0 gives the 2n + 1 values of y; |x| = a >= 1 needs
+        # a <= |y| <= floor(n/a), so a <= sqrt n, on both signs of x and y
+        return 2 * limit + 1 + 4 * sum(limit // a - a + 1 for a in range(1, isqrt(limit) + 1))
     raise ConfigError(f"unsupported region {reg.kind} for {model_id}")

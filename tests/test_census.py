@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from scipy.special import zeta as riemann_zeta
 
+from heightzeta import census
 from heightzeta.catalog import get_model
 from heightzeta.census import (
     count_sintegers,
@@ -16,12 +17,52 @@ from heightzeta.census import (
     poisson_crosscheck,
     volume_V,
 )
-from heightzeta.errors import BudgetExceededError, ConfigError
+from heightzeta.errors import BudgetExceededError, ConfigError, NumericError
 from heightzeta.localfield import Place
 
 F = Fraction
 R = [Place.real()]
 S5 = [Place.real(), Place.finite(5)]
+FINITE_S = ((5,), (2, 3))
+
+
+def _places(primes):
+    return [Place.real()] + [Place.finite(p) for p in primes]
+
+
+def _s_units(primes, H):
+    """The e <= H with every prime factor in primes."""
+    out = []
+    for e in range(1, H + 1):
+        r = e
+        for p in primes:
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            out.append(e)
+    return out
+
+
+def _heights(model_id, primes, H):
+    """Heights <= H of the points x = m/e (lowest terms, e an S-unit) of a
+    one-dimensional catalog model, by the catalog height.  Both e and |x|
+    are at most T = H^(1/lambda); E2 (lambda = 2) removes nothing, so there
+    every e <= T is a denominator."""
+    m = get_model(model_id)
+    T = math.isqrt(H) if model_id == "E2" else H
+    dens = range(1, T + 1) if model_id == "E2" else _s_units(primes, T)
+    out = []
+    for e in dens:
+        for num in range(-T * e, T * e + 1):
+            x = F(num, e)
+            if x.denominator == e and m.height_base(x) <= H:
+                out.append(m.height_base(x))
+    return out
+
+
+def _product_count(hx, hy, B):
+    """#{(x, y) : H(x) H(y) <= B} from the height lists of x and y."""
+    return sum(1 for a in hx for b in hy if a * b <= B)
 
 
 def test_count_E1():
@@ -29,6 +70,7 @@ def test_count_E1():
     assert enumerate_points(m, R, 10) == 21
     assert enumerate_points(m, R, F(21, 2)) == 21
     assert enumerate_points(m, R, 10**6) == 2 * 10**6 + 1
+    assert enumerate_points(m, R, 10**400) == 2 * 10**400 + 1  # past the float range
 
 
 def test_count_E3():
@@ -63,6 +105,9 @@ def test_count_E5_brute():
         if max(1, abs(x)) * max(1, abs(y)) <= B
     )
     assert enumerate_points(m, R, B) == brute
+    for primes, B in zip(FINITE_S, (60, 40)):
+        h = _heights("E1", primes, B)
+        assert enumerate_points(m, _places(primes), B) == _product_count(h, h, B)
 
 
 def test_count_E4_brute():
@@ -78,6 +123,10 @@ def test_count_E4_brute():
             if h * h <= B:
                 brute += 2 * (B // (h * h)) + 1
     assert enumerate_points(m, R, B) == brute
+    # x rational with the E2 height max(|num|, den)^2, y an S-integer
+    for primes, B in zip(FINITE_S, (60, 48)):
+        got = enumerate_points(m, _places(primes), B)
+        assert got == _product_count(_heights("E2", (), B), _heights("E1", primes, B), B)
 
 
 def test_count_E6_brute():
@@ -110,23 +159,18 @@ def test_count_E1_with_finite_place():
 
 def test_count_E3_with_finite_place():
     m = get_model("E3")
-    S2 = [Place.real(), Place.finite(2)]
-    B = 64
-    brute = 0
-    # x, y in Z[1/2] with denominators up to 8; H = (prod_v max(1,|x|,|y|)_v)^2
-    for d1 in (1, 2, 4, 8):
-        for n1 in range(-8 * 8, 8 * 8 + 1):
-            if d1 > 1 and n1 % 2 == 0:
-                continue
-            for d2 in (1, 2, 4, 8):
-                for n2 in range(-8 * 8, 8 * 8 + 1):
-                    if d2 > 1 and n2 % 2 == 0:
-                        continue
-                    fin = max(d1, d2)
-                    arch = max(1.0, abs(n1) / d1, abs(n2) / d2)
-                    if (fin * arch) ** 2 <= B + 1e-9:
-                        brute += 1
-    assert enumerate_points(m, S2, B) == brute
+    for primes, B in (((2,), 64), ((2, 3), 36)):
+        T = math.isqrt(B)
+        # x, y in Z[1/S] with denominators up to sqrt(B); the finite part of
+        # H = (prod_v max(1,|x|,|y|)_v)^2 is lcm(d1, d2)^2
+        xs = [(d, F(n, d)) for d in _s_units(primes, T) for n in range(-T * d, T * d + 1) if gcd(n, d) == 1]
+        brute = sum(
+            1
+            for d1, x in xs
+            for d2, y in xs
+            if (math.lcm(d1, d2) * max(1, abs(x), abs(y))) ** 2 <= B
+        )
+        assert enumerate_points(m, _places(primes), B) == brute
 
 
 def test_count_monotone_and_table():
@@ -140,6 +184,29 @@ def test_count_monotone_and_table():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_points(get_model("E5"), R, 10**12)
+    with pytest.raises(BudgetExceededError):
+        enumerate_points(get_model("E5"), R, 10**400)
+
+
+def test_iroot_exact():
+    iroot = census.iroot
+    for t in (1, 2, 7, 10**5 + 3, 10**30 + 7, 2**200 + 1):
+        n = t**3
+        assert (iroot(n - 1, 3), iroot(n, 3), iroot(n + 1, 3)) == (t - 1, t, t)
+    assert iroot(10**90 + 12345, 3) == 10**30
+    for n in (10**400 - 1, 10**90 + 12345):
+        for k in (2, 3, 5):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k
+    assert iroot(10**400 - 1, 2) == math.isqrt(10**400 - 1)
+    assert [iroot(n, 3) for n in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
+
+
+def test_count_table_rejects_decreasing_counts(monkeypatch):
+    counts = iter([30, 20])
+    monkeypatch.setattr(census, "enumerate_points", lambda *a, **k: next(counts))
+    with pytest.raises(NumericError):
+        count_table(get_model("E1"), R, [10, 100], with_volume=False)
 
 
 def test_threads_bit_identical():
@@ -241,6 +308,19 @@ def test_equidistribution_small():
     assert abs(rows5[0]["empirical"] - 0.5) < 0.02
     rows1 = equidistribution_test(get_model("E1"), R, 10**4)
     assert abs(rows1[0]["empirical"] - 0.5) < 0.001
+
+
+def test_region_count_E5_brute():
+    m = get_model("E5")
+    for B in [*range(1, 61), F(121, 2)]:
+        n = math.floor(B)
+        brute = sum(
+            1
+            for x in range(-n, n + 1)
+            for y in range(-n, n + 1)
+            if abs(x) <= abs(y) and max(1, abs(x)) * max(1, abs(y)) <= B
+        )
+        assert equidistribution_test(m, R, B)[0]["count"] == brute
 
 
 def test_count_sintegers_helper():
