@@ -15,18 +15,15 @@ from .localfield import Place
 @dataclass(frozen=True)
 class DivisorScheme:
     """Combinatorial data of the boundary: labels, anticanonical
-    multiplicities rho, the sublist of removed components, residue degrees
-    (always 1 here), and the induced log-anticanonical multiplicities
-    lambda = rho - [removed]."""
+    multiplicities rho, the sublist of removed components, and the induced
+    log-anticanonical multiplicities lambda = rho - [removed].  Every
+    component is geometrically irreducible (residue degree 1)."""
 
     labels: tuple[str, ...]
     rho: tuple[int, ...]
     removed: frozenset[str]  # components whose complement is counted
-    residue_degree: tuple[int, ...] = None
 
     def __post_init__(self):
-        if self.residue_degree is None:
-            object.__setattr__(self, "residue_degree", tuple(1 for _ in self.labels))
         if len(self.rho) != len(self.labels):
             raise ValueError("rho must match labels")
         if not self.removed <= set(self.labels):
@@ -76,10 +73,6 @@ class ClemensComplex:
         if not self.maximal_faces:
             return -1
         return max(len(A) for A in self.maximal_faces) - 1
-
-    def is_face(self, A: Iterable[str]) -> bool:
-        A = frozenset(A)
-        return any(A <= M for M in self.maximal_faces)
 
 
 @dataclass(frozen=True)

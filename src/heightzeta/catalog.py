@@ -12,9 +12,10 @@ Entries (all with the obvious Z-models, good reduction everywhere):
   E6  P^2, nothing removed                      lambda = (3)
 
 Metrics are max-metrics at every place, so local heights are exact
-rationals; an optional smoothed archimedean metric is provided for
-sensitivity experiments (the counted height and the predicted constant
-always use the same metric).
+rationals.  An optional smoothed archimedean metric (``smoothing_k``) is
+provided for sensitivity experiments; it changes only ``local_height`` and
+``height``.  Counts and ``arch_density`` do not read it: they always use
+the max-metric.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 from .boundary import CharacterStratum, DivisorScheme
 from .errors import ConfigError
-from .localfield import Place, abs_value
+from .localfield import Place, abs_value, prime_factors
 
 Coords = tuple[Fraction, ...]
 
@@ -74,16 +75,7 @@ class CompactificationModel:
         x = self._coords(x)
         primes = set()
         for c in x:
-            d = c.denominator
-            f = 2
-            while f * f <= d:
-                if d % f == 0:
-                    primes.add(f)
-                    while d % f == 0:
-                        d //= f
-                f += 1
-            if d > 1:
-                primes.add(d)
+            primes.update(prime_factors(c.denominator))
         places = [Place.real()] + [Place.finite(p) for p in sorted(primes)]
         h = Fraction(1)
         for alpha in self.divisors.labels:
@@ -128,14 +120,11 @@ class CompactificationModel:
         fn = self._stratum_counts.get(frozenset(A))
         return fn(q) if fn else 0
 
-    def point_count_total(self, q: int) -> int:
-        return sum(fn(q) for fn in self._stratum_counts.values())
-
-    def good_reduction(self, p: int) -> bool:
-        return True  # the standard Z-models of the catalog have empty bad locus
-
     def coefficient_pattern(self, a: Coords) -> dict:
-        raise NotImplementedError
+        """d_alpha(a) for nonzero a: the form <a, .> has a simple pole along
+        D_alpha exactly when it involves a coordinate of the norm of
+        f_alpha, and no pole otherwise."""
+        return {alpha: int(any(a[i] != 0 for i in idx)) for alpha, idx in self.norm_coords.items()}
 
     def strata(self) -> list[CharacterStratum]:
         return list(self._strata)
@@ -145,8 +134,14 @@ class CompactificationModel:
     def boundary_charts(self):
         """Maximal faces of the removed-components complex together with
         the residual chart density exponent: ``None`` for a point stratum,
-        an integer e for a line stratum with density max(1,|w|)^{-e}."""
-        raise NotImplementedError
+        an integer e for a line stratum with density max(1,|w|)^{-e}.  In
+        the catalog the removed components meet in one stratum: a point
+        when there are dim of them, else a P^1, whose residue density is
+        max(1,|w|)^{-2} by adjunction."""
+        removed = self.divisors.removed
+        if not removed:
+            raise ConfigError(f"{self.id} removes nothing; no boundary measure")
+        return [(removed, None if len(removed) == self.dim else 2)]
 
     def describe(self) -> dict:
         div = self.divisors
@@ -200,42 +195,7 @@ def _two_coord_strata() -> list[CharacterStratum]:
     ]
 
 
-class _P1Model(CompactificationModel):
-    def coefficient_pattern(self, a):
-        return {"inf": 1}
-
-    def boundary_charts(self):
-        if "inf" not in self.divisors.removed:
-            raise ConfigError(f"{self.id} removes nothing; no boundary measure")
-        return [(frozenset({"inf"}), None)]
-
-
-class _P2Model(CompactificationModel):
-    def coefficient_pattern(self, a):
-        return {"H": 1}
-
-    def boundary_charts(self):
-        if "H" not in self.divisors.removed:
-            raise ConfigError(f"{self.id} removes nothing; no boundary measure")
-        return [(frozenset({"H"}), self.divisors.lam("H"))]
-
-
-class _P1xP1Model(CompactificationModel):
-    def coefficient_pattern(self, a):
-        return {"Dx": 1 if a[0] != 0 else 0, "Dy": 1 if a[1] != 0 else 0}
-
-    def boundary_charts(self):
-        rem = self.divisors.removed
-        if rem == {"Dx", "Dy"}:
-            return [(frozenset({"Dx", "Dy"}), None)]
-        if rem == {"Dy"}:
-            # D_{y=inf} is a line with coordinate x; the transverse factor
-            # ||f_Dx||^{rho_Dx} survives in the chart density
-            return [(frozenset({"Dy"}), self.divisors.rho_of("Dx"))]
-        raise ConfigError(f"{self.id} removes nothing; no boundary measure")
-
-
-E1 = _P1Model(
+E1 = CompactificationModel(
     id="E1",
     dim=1,
     divisors=DivisorScheme(("inf",), (2,), frozenset({"inf"})),
@@ -246,7 +206,7 @@ E1 = _P1Model(
     arch_exponents=lambda s: [s],
 )
 
-E2 = _P1Model(
+E2 = CompactificationModel(
     id="E2",
     dim=1,
     divisors=DivisorScheme(("inf",), (2,), frozenset()),
@@ -257,7 +217,7 @@ E2 = _P1Model(
     arch_exponents=lambda s: [2.0 * s],
 )
 
-E3 = _P2Model(
+E3 = CompactificationModel(
     id="E3",
     dim=2,
     divisors=DivisorScheme(("H",), (3,), frozenset({"H"})),
@@ -267,7 +227,7 @@ E3 = _P2Model(
     arch_closed_form=lambda s: 4.0 + 4.0 / (s - 1.0),
 )
 
-E4 = _P1xP1Model(
+E4 = CompactificationModel(
     id="E4",
     dim=2,
     divisors=DivisorScheme(("Dx", "Dy"), (2, 2), frozenset({"Dy"})),
@@ -283,7 +243,7 @@ E4 = _P1xP1Model(
     arch_exponents=lambda s: [2.0 * s, s],
 )
 
-E5 = _P1xP1Model(
+E5 = CompactificationModel(
     id="E5",
     dim=2,
     divisors=DivisorScheme(("Dx", "Dy"), (2, 2), frozenset({"Dx", "Dy"})),
@@ -299,7 +259,7 @@ E5 = _P1xP1Model(
     arch_exponents=lambda s: [s, s],
 )
 
-E6 = _P2Model(
+E6 = CompactificationModel(
     id="E6",
     dim=2,
     divisors=DivisorScheme(("H",), (3,), frozenset()),

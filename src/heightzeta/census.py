@@ -31,7 +31,7 @@ from scipy.special import zeta as _riemann_zeta
 from .catalog import CompactificationModel
 from .density import arch_density, fourier_finite, s_vector
 from .errors import BudgetExceededError, ConfigError, NumericError
-from .localfield import Place
+from .localfield import Place, prime_factors, primes_upto
 
 NODE_CAP = 200_000_000  # hard budget on the _WORK proxy of one count
 
@@ -43,7 +43,7 @@ class CountTable:
     rows: list[dict] = field(default_factory=list)  # B, N, V, seconds
 
     def add(self, B, N, V, seconds):
-        self.rows.append({"B": float(B), "N": int(N), "V": float(V), "seconds": seconds})
+        self.rows.append({"B": _float_B(B), "N": int(N), "V": float(V), "seconds": seconds})
 
     def Bs(self):
         return [r["B"] for r in self.rows]
@@ -88,21 +88,21 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _phi_upto(n: int) -> np.ndarray:
-    """Euler phi(0..n) as int64: the primes up to sqrt(n) by slices, then
-    the at most one prime factor above sqrt(n) that each index keeps."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    rest = phi.copy()
-    for p in range(2, isqrt(n) + 1):
-        if rest[p] == p:  # no smaller prime divides p
-            phi[p::p] -= phi[p::p] // p
-            pk = p
-            while pk <= n:
-                rest[pk::pk] //= p
-                pk *= p
+def _jordan_upto(n: int, k: int) -> np.ndarray:
+    """Jordan's totient J_k(0..n) = m^k prod_{p | m} (1 - p^-k) as int64
+    (k = 1 is Euler phi): the primes up to sqrt(n) by slices, then the at
+    most one prime factor above sqrt(n) that each index keeps."""
+    J = np.arange(n + 1, dtype=np.int64) ** k
+    rest = np.arange(n + 1, dtype=np.int64)
+    for p in primes_upto(isqrt(n)):
+        J[p::p] -= J[p::p] // p**k
+        pk = p
+        while pk <= n:
+            rest[pk::pk] //= p
+            pk *= p
     big = rest > 1
-    phi[big] -= phi[big] // rest[big]
-    return phi
+    J[big] -= J[big] // rest[big] ** k
+    return J
 
 
 def _mobius_sum(T: int, f: Callable[[int], int]) -> int:
@@ -209,7 +209,7 @@ def _count(model_id: str, n: int, primes: list[int]) -> int:
     """N(B) for n = floor(B) >= 1.  Rational coordinates (E2, E4's x, E6)
     are integral everywhere, so the finite places of S do not enter."""
     if model_id == "E2":  # C_Q(sqrt n), C_Q(h) = 4 Phi(h) - 1
-        return 4 * int(_phi_upto(isqrt(n)).sum()) - 1
+        return 4 * int(_jordan_upto(isqrt(n), 1).sum()) - 1
     if model_id == "E6":  # every F <= T is a denominator: t (2t + 1)^2 pairs per d
         return _mobius_sum(iroot(n, 3), lambda t: t * (2 * t + 1) ** 2)
     if model_id == "E5" and not primes:
@@ -221,7 +221,7 @@ def _count(model_id: str, n: int, primes: list[int]) -> int:
     if model_id == "E1":
         return units.count(n)
     if model_id == "E4":
-        Phi = np.cumsum(_phi_upto(isqrt(n)))
+        Phi = np.cumsum(_jordan_upto(isqrt(n), 1))
         return _convolve(n, 2, lambda h: 4 * int(Phi[h]) - 1, units.count)
     return _convolve(n, 1, units.count, units.count)  # E5
 
@@ -248,8 +248,7 @@ def enumerate_points(model: CompactificationModel, S: Sequence[Place], B, thread
     n = math.floor(B)
     primes = _sf_primes(S)
     if _WORK[model.id](n) * 4 ** len(primes) > NODE_CAP:
-        shown = f"{float(B):g}" if B < 1e300 else f"~1e{len(str(n)) - 1}"  # float(B) overflows past 1e308
-        raise BudgetExceededError(f"B = {shown} exceeds the enumeration budget for {model.id}")
+        raise BudgetExceededError(f"B = {_shown(B)} exceeds the enumeration budget for {model.id}")
     return _count(model.id, n, primes)
 
 
@@ -257,93 +256,77 @@ def enumerate_points(model: CompactificationModel, S: Sequence[Place], B, thread
 # height-ball volumes
 
 
-def _prime_factors(nden: int):
-    f = 2
-    while f * f <= nden:
-        if nden % f == 0:
-            yield f
-            while nden % f == 0:
-                nden //= f
-        f += 1
-    if nden > 1:
-        yield nden
+def _shown(B: Fraction) -> str:
+    """B for a message; float(B) overflows past 1e308."""
+    return f"{float(B):g}" if B < 1e300 else f"~1e{len(str(math.floor(B))) - 1}"
 
 
-def _padic_exp(e: int, p: int) -> int:
-    k = 0
-    while e % p == 0:
-        e //= p
-        k += 1
-    return k
+def _float_B(B) -> float:
+    B = Fraction(B)
+    try:
+        return float(B)
+    except OverflowError:
+        raise NumericError(f"B = {_shown(B)} is past the float range of volumes and count tables") from None
 
 
-def _J(e: int) -> int:
-    # vol{x_f : denominator profile e} = prod (p^k - p^{k-1})
-    out = 1
-    for p in set(_prime_factors(e)):
-        k = _padic_exp(e, p)
-        out *= p**k - p ** (k - 1)
-    return out
-
-
-def volume_V(model: CompactificationModel, S: Sequence[Place], B, seed: int = 0) -> float:
+def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
     """Adelic volume of the height ball H <= B (integral off S).  All
     catalog cases reduce to closed forms combined with exact sums over
-    finite-place denominator profiles; the computation is deterministic
-    (``seed`` is accepted for interface stability)."""
+    finite-place denominator profiles: the points with S-unit denominator
+    e have finite-place volume phi(e), and the pairs with common
+    denominator d in E6 have J_2(d)."""
     B = Fraction(B)
-    Bf = float(B)
-    primes = _sf_primes(S)
+    Bf = _float_B(B)
     if Bf < 1:
         return 0.0
     mid = model.id
-    if mid == "E1":
-        return 2.0 * Bf * sum(_J(e) / e for e, _ in _s_power_denoms(primes, B))
-    if mid == "E3":
-        # the real box has side 2 sqrt(B)/F in each coordinate
-        total = 0.0
-        for e1, s1 in _s_power_denoms(primes, B):
-            for e2, s2 in _s_power_denoms(primes, B):
-                F = 1
-                for p in set(s1) | set(s2):
-                    F *= p ** max(_padic_exp(e1, p), _padic_exp(e2, p))
-                if F * F <= B:
-                    total += _J(e1) * _J(e2) * 4.0 * Bf / (F * F)
-        return total
-    if mid == "E5":
-        total = 0.0
-        for e1, _ in _s_power_denoms(primes, B):
-            for e2, _ in _s_power_denoms(primes, B):
-                T = Bf / (e1 * e2)
-                if T >= 1.0:
-                    total += _J(e1) * _J(e2) * (4.0 * T + 4.0 * T * math.log(T))
-        return total
     if mid == "E2":
         T = math.sqrt(Bf)
         ds = np.arange(1, int(T) + 1)
-        phis = _phi_upto(int(T))[1:].astype(float)
+        phis = _jordan_upto(int(T), 1)[1:].astype(float)
         return 2.0 * T * float(np.sum(phis / ds))
+    if mid == "E6":
+        T = iroot(math.floor(B), 3)
+        J2 = _jordan_upto(T, 2).tolist()
+        total = 0.0
+        for d in range(1, T + 1):
+            t = Bf ** (1.0 / 3.0) / d
+            if t >= 1.0:
+                total += J2[d] * 4.0 * t * t
+        return total
+    # phi(e) = (e / rad e) prod_{p | e} (p - 1), from the prime support of e
+    denoms = [
+        (e, e // math.prod(supp) * math.prod(p - 1 for p in supp))
+        for e, supp in _s_power_denoms(_sf_primes(S), B)
+    ]
+    if mid == "E1":
+        return 2.0 * Bf * sum(phi / e for e, phi in denoms)
+    if mid == "E3":
+        # the real box has side 2 sqrt(B)/F in each coordinate
+        total = 0.0
+        for e1, phi1 in denoms:
+            for e2, phi2 in denoms:
+                F = math.lcm(e1, e2)
+                if F * F <= B:
+                    total += phi1 * phi2 * 4.0 * Bf / (F * F)
+        return total
+    if mid == "E5":
+        total = 0.0
+        for e1, phi1 in denoms:
+            for e2, phi2 in denoms:
+                T = Bf / (e1 * e2)
+                if T >= 1.0:
+                    total += phi1 * phi2 * (4.0 * T + 4.0 * T * math.log(T))
+        return total
     if mid == "E4":
         total = 0.0
         T = int(math.sqrt(Bf))
-        phis = _phi_upto(T)[1:].astype(float)
-        for e, _ in _s_power_denoms(primes, B):
+        phis = _jordan_upto(T, 1)[1:].astype(float)
+        for e, phi in denoms:
             for d in range(1, T + 1):
                 Teff = Bf / (d * d * e)
                 if Teff >= 1.0:
-                    total += phis[d - 1] * _J(e) * (8.0 * Teff - 4.0 * math.sqrt(Teff))
-        return total
-    if mid == "E6":
-        T = iroot(math.floor(B), 3)
-        total = 0.0
-        for d in range(1, T + 1):
-            J2 = 1
-            for p in set(_prime_factors(d)):
-                k = _padic_exp(d, p)
-                J2 *= p ** (2 * k) - p ** (2 * k - 2)
-            t = Bf ** (1.0 / 3.0) / d
-            if t >= 1.0:
-                total += J2 * 4.0 * t * t
+                    total += phis[d - 1] * phi * (8.0 * Teff - 4.0 * math.sqrt(Teff))
         return total
     raise ConfigError(f"volume_V does not support {mid}")
 
@@ -432,7 +415,7 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         if w <= 2.0:
             raise ConfigError("need s > 1 along the log-anticanonical direction")
         T = min(height_cutoff, 20000)
-        phis = _phi_upto(T)[1:].astype(float)
+        phis = _jordan_upto(T, 1)[1:].astype(float)
         hs = np.arange(1, T + 1, dtype=float)
         lhs = 3.0 + float(np.sum(4.0 * phis[1:] * hs[1:] ** (-w)))
         lhs_tail = (24.0 / math.pi**2) * T ** (2.0 - w) / (w - 2.0)
@@ -441,7 +424,7 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         vals = [(0, arch_density(model, 0, s).real * zw1 / zw)]
         for a in [t for t in range(-A, A + 1) if t != 0]:
             fin = 1.0 / zw
-            for p in set(_prime_factors(abs(a))):
+            for p in set(prime_factors(abs(a))):
                 hp = fourier_finite(model, p, (Fraction(a),), s_vector(model, s))
                 fin *= hp.real / (1.0 - p ** (-w))
             vals.append((a, arch_density(model, a, s).real * fin))

@@ -3,7 +3,7 @@
 Subcommands: zeta-local, osc, clemens, density, theta, count, fit,
 poisson, equi, describe.  Each writes a JSON artifact (and CSV where the
 result is tabular) under --out and prints a one-line summary; identical
-configuration and seed produce byte-identical outputs.
+configuration produces byte-identical outputs.
 
 Configuration may come from a flat key=value file (--config); command-line
 flags win over file values.  Exit codes: 0 ok, 2 config error, 3 budget
@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from . import census, density, oscillatory
 from .boundary import clemens_complex, exponent_b
 from .catalog import get_model, places_from_spec
 from .errors import ConfigError, HeightZetaError
-from .localfield import BumpFunction, Place, StepFunction
+from .localfield import BumpFunction, Place, RadialBump, StepFunction
 
 
 @dataclass
@@ -43,8 +44,6 @@ class ExperimentConfig:
     A: int = 100
     b: int | None = None
     prime_cutoff: int = 10_000
-    depth: int = 3
-    seed: int = 0
     threads: int = 1
     out: str = "."
     restrict: bool = True
@@ -52,6 +51,9 @@ class ExperimentConfig:
     def validate(self):
         if not self.S or "inf" not in tuple(str(x) for x in self.S):
             raise ConfigError("S must contain the real place ('inf')")
+        Bs = (*self.B_grid, *(() if self.B is None else (self.B,)))
+        if not all(math.isfinite(B) for B in Bs):
+            raise ConfigError(f"B must be finite: {', '.join(map(str, Bs))}")
         if self.B is not None and self.B < 1:
             raise ConfigError("B must be >= 1")
         if self.threads < 1:
@@ -84,8 +86,6 @@ def _parse_phi(spec: str, place: Place):
         bump = BumpFunction.standard(float(parts[1]), float(parts[2]))
     else:
         raise ConfigError(f"unknown archimedean test function {spec!r}")
-    from .localfield import RadialBump
-
     return RadialBump(bump) if place.kind == "complex" else bump
 
 
@@ -242,8 +242,6 @@ def _run_count(cfg: ExperimentConfig):
 
 
 def _run_fit(cfg: ExperimentConfig):
-    import math
-
     model = get_model(cfg.model)
     S = places_from_spec(cfg.S)
     table = census.count_table(model, S, _count_grid(cfg), threads=cfg.threads)
@@ -369,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--A", type=int, default=None)
         sp.add_argument("--b", type=int, default=None)
         sp.add_argument("--prime-cutoff", dest="prime_cutoff", type=int, default=None)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--no-restrict", dest="restrict", action="store_false", default=None)
@@ -396,7 +392,7 @@ def config_from_args(args) -> ExperimentConfig:
             val = _floats(val)
         elif f.name in ("B", "s"):
             val = float(val)
-        elif f.name in ("d", "A", "b", "prime_cutoff", "depth", "seed", "threads"):
+        elif f.name in ("d", "A", "b", "prime_cutoff", "threads"):
             val = int(val)
         elif f.name == "restrict":
             val = val if isinstance(val, bool) else str(val).lower() not in ("0", "false", "no")

@@ -34,7 +34,7 @@ from scipy.special import zeta as _riemann_zeta
 from .boundary import divisor_coefficients, ep_rank, exponent_b
 from .catalog import CompactificationModel
 from .errors import NonconvergentError, NumericError, PoleError
-from .localfield import Place, padic, quad_complex, residue_c
+from .localfield import Place, padic, primes_upto, quad_complex, residue_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,7 +45,6 @@ class LocalDensity:
     s: complex
     value: complex
     exact: bool
-    closed_form: str | None = None
     tail_bound: float | None = None
 
 
@@ -123,7 +122,7 @@ def denef_density(model: CompactificationModel, p: int, s, restrict: bool = True
 _ZP = ("zp",)
 
 
-def _probe_reps(p: int, cell, m: int):
+def _probe_reps(p: int, cell):
     """Exact rational probe points covering a cell of one coordinate."""
     if cell == _ZP:
         return [Fraction(0), Fraction(1), Fraction(p)]
@@ -151,7 +150,7 @@ class _CellProber:
         key = tuple(cells)
         if key in self.cache:
             return self.cache[key]
-        reps = [_probe_reps(self.p, c, 0) for c in cells]
+        reps = [_probe_reps(self.p, c) for c in cells]
         seen = None
         for pt in itertools.product(*reps):
             if self.restrict and not self.model.is_integral(self.place, pt):
@@ -440,8 +439,6 @@ def arch_density(model, a, s0, method: str = "auto") -> complex:
         return complex(model.arch_closed_form(s0))
     if model.arch_exponents is not None:
         ws = model.arch_exponents(s0)
-        if zero:
-            return complex(np.prod([2.0 + 2.0 / (w - 1.0) for w in ws]))
         avec = a if isinstance(a, (tuple, list)) else (a,)
         out = 1.0 + 0j
         for ai, w in zip(avec, ws):
@@ -449,22 +446,11 @@ def arch_density(model, a, s0, method: str = "auto") -> complex:
         return out
     # joint max models (E3, E6)
     w = model.divisors.lam(model.divisors.labels[0]) * s0
-    if zero:
-        return 4.0 + 8.0 / (w - 2.0)
     return _arch_joint_max(model, a, w)
 
 
 # ---------------------------------------------------------------------------
 # Euler products and the constant
-
-
-def _primes_upto(P: int) -> list[int]:
-    sieve = np.ones(P + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(P**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return [int(t) for t in np.nonzero(sieve)[0]]
 
 
 def zeta_S(w: float, S: Sequence[Place]) -> float:
@@ -482,7 +468,9 @@ def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: 
     """Regularized product of the restricted local densities over the
     primes outside S: the zeta factors zeta_S(1 + s_alpha - rho_alpha)
     (kept components) are divided out of each local factor and restored
-    globally."""
+    globally.  ``threads`` is accepted for interface stability; the
+    product runs in one thread (the local factors are pure Python and hold
+    the GIL, so a pool only slows it down)."""
     s0 = complex(s0)
     smap = s_vector(model, s0)
     skip = {v.prime for v in S if v.is_finite}
@@ -490,27 +478,16 @@ def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: 
     ws = [1.0 + (smap[alpha] - model.divisors.rho_of(alpha)).real for alpha in kept]
     if any(w <= 1.0 for w in ws):
         raise NonconvergentError("Euler product evaluated outside its convergence region")
-    primes = [p for p in _primes_upto(cutoff) if p not in skip]
-
-    def factor(p: int) -> tuple[complex, complex]:
-        loc = denef_density(model, p, smap, restrict=True)
-        reg = loc
-        for alpha, w in zip(kept, ws):
-            reg *= 1.0 - p ** (-w)
-        return loc, reg
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pairs = list(ex.map(factor, primes))
-    else:
-        pairs = [factor(p) for p in primes]
-
     partial = 1.0 + 0j
     corrected = 1.0 + 0j
     half = 1.0 + 0j
-    for p, (loc, reg) in zip(primes, pairs):
+    for p in primes_upto(cutoff):
+        if p in skip:
+            continue
+        loc = denef_density(model, p, smap, restrict=True)
+        reg = loc
+        for w in ws:
+            reg *= 1.0 - p ** (-w)
         partial *= loc
         corrected *= reg
         if p <= cutoff // 2:
@@ -601,7 +578,7 @@ def tau_adelic(model, S: Sequence[Place], cutoff: int = 10_000) -> float:
     skip = {v.prime for v in S if v.is_finite}
     lam1 = s_vector(model, 1.0)
     prod = 1.0
-    for p in _primes_upto(cutoff):
+    for p in primes_upto(cutoff):
         if p in skip:
             continue
         loc = denef_density(model, p, lam1, restrict=True).real

@@ -24,10 +24,6 @@ class NumericError(HeightZetaError):
     exit_code = 4
 
 
-class QuadratureError(NumericError):
-    """Adaptive quadrature could not reach the requested accuracy."""
-
-
 class NonconvergentError(NumericError):
     """The requested parameters lie outside the region of absolute convergence."""
 

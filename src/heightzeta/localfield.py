@@ -1,4 +1,5 @@
-"""Exact and numeric arithmetic on the completions of Q.
+"""Exact and numeric arithmetic on the completions of Q, and the one
+integer kernel of the package (the prime sieve and trial factoring).
 
 The three kinds of places are the real place, the complex place (used only
 by the one-dimensional oscillatory theory) and the finite places Q_p.
@@ -39,17 +40,36 @@ TWO_PI = 2.0 * math.pi
 Rational = Fraction | int
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+# ---------------------------------------------------------------------------
+# integer arithmetic: the one prime sieve and the one factoring routine
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, n >= 0, in ascending order (sieve of Eratosthenes)."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+def prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing n >= 1, in ascending order, by trial
+    division."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            yield f
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and next(prime_factors(n)) == n
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +161,6 @@ class PadicContext:
         if x == 0:
             return Fraction(0)
         return Fraction(self.p) ** (-self.valuation(x))
-
-    def unit_part(self, x: Rational) -> Fraction:
-        x = Fraction(x)
-        return x / Fraction(self.p) ** self.valuation(x)
 
     def frac_part(self, x: Rational) -> Fraction:
         """The p-primary component of x mod 1: the unique rational in

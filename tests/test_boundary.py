@@ -116,6 +116,9 @@ def test_divisor_coefficients_examples():
     assert divisor_coefficients(get_model("E3"), (F(1), F(1))) == {"H": 1}
     assert divisor_coefficients(get_model("E4"), (F(1), F(0))) == {"Dx": 1, "Dy": 0}
     assert divisor_coefficients(get_model("E1"), F(1)) == {"inf": 1}
+    assert divisor_coefficients(get_model("E5"), (F(0), F(-2))) == {"Dx": 0, "Dy": 1}
+    assert divisor_coefficients(get_model("E5"), (F(1, 3), F(5))) == {"Dx": 1, "Dy": 1}
+    assert divisor_coefficients(get_model("E6"), (F(0), F(1, 2))) == {"H": 1}
     with pytest.raises(ValueError):
         divisor_coefficients(get_model("E1"), 0)
 

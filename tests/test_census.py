@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from scipy.special import zeta as riemann_zeta
 
@@ -18,7 +19,7 @@ from heightzeta.census import (
     volume_V,
 )
 from heightzeta.errors import BudgetExceededError, ConfigError, NumericError
-from heightzeta.localfield import Place
+from heightzeta.localfield import Place, prime_factors
 
 F = Fraction
 R = [Place.real()]
@@ -186,6 +187,11 @@ def test_budget_exceeded():
         enumerate_points(get_model("E5"), R, 10**12)
     with pytest.raises(BudgetExceededError):
         enumerate_points(get_model("E5"), R, 10**400)
+    # E1 counts there, but the volume and the table row are floats
+    with pytest.raises(NumericError, match="1e400"):
+        count_table(get_model("E1"), R, [10**400], with_volume=False)
+    with pytest.raises(NumericError, match="1e400"):
+        volume_V(get_model("E1"), R, 10**400)
 
 
 def test_iroot_exact():
@@ -233,6 +239,37 @@ def test_volume_closed_forms():
     B = 10**8
     lead = volume_V(get_model("E4"), R, B) / (B * math.log(B))
     assert abs(lead - 24 / math.pi**2) < 0.2
+
+
+def test_volume_pinned():
+    """Bit-exact volumes, pinned from the per-denominator trial-factoring
+    code that the sieves replaced (float() drops numpy's repr of E4)."""
+    S23 = _places((2, 3))
+    pins = {"E1": "110333333.33333352", "E3": "116333333.33333306", "E4": "881635190.8738917",
+            "E5": "14245346672.314922"}
+    for mid, want in pins.items():
+        assert repr(float(volume_V(get_model(mid), S23, 10**6))) == want, mid
+    assert repr(volume_V(get_model("E6"), R, 10**12)) == "3327353732328.02"
+
+
+def test_jordan_upto():
+    # checksums of the phi sieve that _jordan_upto(n, 1) replaced
+    phi = census._jordan_upto(10**5, 1)
+    assert phi[:12].tolist() == [0, 1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10]
+    assert int(phi.sum()) == 3039650754
+    assert int((phi * np.arange(10**5 + 1)).sum()) == 202643891472849
+    n = 2 * 10**4
+    for k in (1, 2):
+        J = census._jordan_upto(n, k).tolist()
+        assert J[0] == 0
+        for m in range(1, n + 1):  # J_k(m) = m^k prod_{p | m} (1 - p^-k)
+            ps = list(prime_factors(m))
+            assert J[m] * math.prod(p**k for p in ps) == m**k * math.prod(p**k - 1 for p in ps), (k, m)
+        # and sum_{d | m} J_k(d) = m^k
+        acc = np.zeros(n + 1, dtype=np.int64)
+        for d in range(1, n + 1):
+            acc[d::d] += J[d]
+        assert acc[1:].tolist() == [m**k for m in range(1, n + 1)]
 
 
 def test_volume_E1_finite_place():

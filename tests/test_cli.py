@@ -86,3 +86,6 @@ def test_error_exit_codes(tmp_path):
     assert main(["count", "--model", "E1", "--S", "5", "--B", "10", "--out", str(tmp_path)]) == 2
     assert main(["count", "--model", "E5", "--S", "inf", "--B", "1e12", "--out", str(tmp_path)]) == 3
     assert main(["poisson", "--model", "E1", "--s", "0.5", "--A", "5", "--out", str(tmp_path)]) == 2
+    # a non-finite B is a config error, not a traceback or a numeric failure
+    for flag in (["--B", "inf"], ["--B", "1e400"], ["--B", "nan"], ["--B-grid", "10,1e400"]):
+        assert main(["count", "--model", "E1", "--S", "inf", *flag, "--out", str(tmp_path)]) == 2, flag

@@ -20,7 +20,10 @@ from heightzeta.localfield import (
     abs_value,
     fourier_test_fn,
     haar_volume,
+    is_prime,
     padic,
+    prime_factors,
+    primes_upto,
     psi,
     residue_c,
     tate_integral,
@@ -30,6 +33,19 @@ from heightzeta.localfield import (
 F = Fraction
 R = Place.real()
 C = Place.complex_()
+
+
+def test_primes_upto_matches_is_prime():
+    assert primes_upto(10**4) == [n for n in range(10**4 + 1) if is_prime(n)]
+    assert (primes_upto(0), primes_upto(1), primes_upto(2)) == ([], [], [2])
+
+
+def test_prime_factors_ascending_distinct_complete():
+    assert list(prime_factors(1)) == []
+    for n in range(1, 10**4 + 1):
+        ps = list(prime_factors(n))
+        assert ps == sorted(set(ps)) and all(is_prime(p) for p in ps), n
+        assert math.prod(p ** padic(p).valuation(n) for p in ps) == n
 
 
 def test_place_validation():
