@@ -321,7 +321,7 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
     if mid == "E4":
         total = 0.0
         T = int(math.sqrt(Bf))
-        phis = _jordan_upto(T, 1)[1:].astype(float)
+        phis = _jordan_upto(T, 1)[1:].astype(float).tolist()
         for e, phi in denoms:
             for d in range(1, T + 1):
                 Teff = Bf / (d * d * e)

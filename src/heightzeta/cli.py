@@ -54,8 +54,12 @@ class ExperimentConfig:
         Bs = (*self.B_grid, *(() if self.B is None else (self.B,)))
         if not all(math.isfinite(B) for B in Bs):
             raise ConfigError(f"B must be finite: {', '.join(map(str, Bs))}")
-        if self.B is not None and self.B < 1:
+        if any(B < 1 for B in Bs):
             raise ConfigError("B must be >= 1")
+        if self.prime_cutoff < 0:
+            raise ConfigError("prime cutoff must be >= 0")
+        if self.A < 0:
+            raise ConfigError("A must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 

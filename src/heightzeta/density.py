@@ -15,8 +15,9 @@ Two independent routes compute the local density at a finite place:
 
 The leading constant is the normalized pole coefficient
 lim (s-1)^b H^(0; s lambda) / (b-1)!  evaluated on an epsilon grid with
-Richardson extrapolation, with the Euler product over p outside S
-regularized by zeta convergence factors.
+Richardson extrapolation.  The Euler product over p outside S, regularized
+by zeta convergence factors, is one array evaluation of the stratum-count
+formula over the primes, multiplied left to right; ``threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -86,33 +87,34 @@ def _s_map(model, s) -> dict:
 # the stratum-count formula
 
 
-def denef_density(model: CompactificationModel, p: int, s, restrict: bool = True) -> complex:
+def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
     """The local height Fourier transform at the trivial character, from
     finite-field stratum counts.  With ``restrict`` the integral runs over
     the integral points (strata inside the removed components excluded);
-    without it, over all of X(Q_p) -- the form used at places in S.
+    without it, over all of X(Q_p) -- the form used at places in S.  ``p``
+    is a prime, or an integer array of primes for one value per prime.
     """
     smap = _s_map(model, s)
-    q = p
-    lnq = math.log(q)
-    kept = set(model.divisors.kept)
-    total = 0j
-    faces = [frozenset()] + model.incidence_faces()
-    for A in faces:
-        if restrict and not A <= kept:
+    q = np.asarray(p, dtype=np.int64)
+    lnq = np.log(q)
+    total = np.zeros(q.shape, dtype=complex)
+    for A in [frozenset()] + model.incidence_faces():
+        if restrict and A & model.divisors.removed:
             continue
         cnt = model.stratum_counts(q, A)
-        if cnt == 0:
+        if not np.any(cnt):
             continue
-        term = complex(cnt)
+        term = np.broadcast_to(cnt, q.shape).astype(complex)
         for alpha in A:
             w = smap[alpha] - model.divisors.rho_of(alpha) + 1
-            denom = cmath.exp(w * lnq) - 1.0
-            if abs(denom) < 1e-13:
-                raise PoleError(f"local density pole at p={p}, alpha={alpha}")
+            denom = np.exp(w * lnq) - 1.0
+            pole = np.abs(denom) < 1e-13
+            if np.any(pole):
+                raise PoleError(f"local density pole at p={q[pole][0]}, alpha={alpha}")
             term *= (q - 1) / denom
         total += term
-    return total * q ** (-model.dim)
+    total *= 1.0 / q.astype(float) ** model.dim  # 1 / exact q^dim rounds like scalar q ** -dim
+    return complex(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -464,37 +466,39 @@ def zeta_S(w: float, S: Sequence[Place]) -> float:
     return val
 
 
+def _primes_off(S: Sequence[Place], cutoff: int) -> np.ndarray:
+    """The primes p <= cutoff that are not finite places of S, ascending."""
+    primes = np.array(primes_upto(cutoff), dtype=np.int64)
+    return primes[~np.isin(primes, [v.prime for v in S if v.is_finite])]
+
+
+def _running_product(factors: np.ndarray) -> np.ndarray:
+    """1, f_0, f_0 f_1, ...: entry k multiplies the first k factors in order."""
+    return np.multiply.accumulate(np.concatenate(([1.0], factors)))
+
+
 def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: int = 1) -> EulerProductValue:
     """Regularized product of the restricted local densities over the
     primes outside S: the zeta factors zeta_S(1 + s_alpha - rho_alpha)
     (kept components) are divided out of each local factor and restored
-    globally.  ``threads`` is accepted for interface stability; the
-    product runs in one thread (the local factors are pure Python and hold
-    the GIL, so a pool only slows it down)."""
+    globally.  The local factors come from one array evaluation of
+    ``denef_density`` over the primes, multiplied left to right;
+    ``threads`` is accepted for interface stability and has no effect."""
     s0 = complex(s0)
     smap = s_vector(model, s0)
-    skip = {v.prime for v in S if v.is_finite}
-    kept = model.divisors.kept
-    ws = [1.0 + (smap[alpha] - model.divisors.rho_of(alpha)).real for alpha in kept]
+    ws = [1.0 + (smap[alpha] - model.divisors.rho_of(alpha)).real for alpha in model.divisors.kept]
     if any(w <= 1.0 for w in ws):
         raise NonconvergentError("Euler product evaluated outside its convergence region")
-    partial = 1.0 + 0j
-    corrected = 1.0 + 0j
-    half = 1.0 + 0j
-    for p in primes_upto(cutoff):
-        if p in skip:
-            continue
-        loc = denef_density(model, p, smap, restrict=True)
-        reg = loc
-        for w in ws:
-            reg *= 1.0 - p ** (-w)
-        partial *= loc
-        corrected *= reg
-        if p <= cutoff // 2:
-            half = corrected
-    head = 1.0
+    primes = _primes_off(S, cutoff)
+    loc = denef_density(model, primes, smap, restrict=True)
+    reg = loc
     for w in ws:
-        head *= zeta_S(w, S)
+        reg = reg * (1.0 - primes ** (-w))
+    partial = complex(_running_product(loc)[-1])
+    running = _running_product(reg)
+    corrected = complex(running[-1])
+    half = complex(running[np.searchsorted(primes, cutoff // 2, side="right")])
+    head = math.prod(zeta_S(w, S) for w in ws)
     tail_estimate = abs(corrected - half) * abs(head)
     return EulerProductValue(cutoff, partial, corrected * head, tail_estimate)
 
@@ -575,18 +579,10 @@ def tau_adelic(model, S: Sequence[Place], cutoff: int = 10_000) -> float:
     to the log-boundary-twisted measure; the Picard-rank many zeta factors
     are removed locally and restored through the residue of zeta_S."""
     r = ep_rank(model)
-    skip = {v.prime for v in S if v.is_finite}
-    lam1 = s_vector(model, 1.0)
-    prod = 1.0
-    for p in primes_upto(cutoff):
-        if p in skip:
-            continue
-        loc = denef_density(model, p, lam1, restrict=True).real
-        prod *= (1.0 - 1.0 / p) ** r * loc
-    residue = 1.0
-    for v in S:
-        if v.is_finite:
-            residue *= 1.0 - 1.0 / v.prime
+    primes = _primes_off(S, cutoff)
+    loc = denef_density(model, primes, s_vector(model, 1.0), restrict=True).real
+    prod = float(_running_product((1.0 - 1.0 / primes) ** r * loc)[-1])
+    residue = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite)
     return (residue**r) * prod
 
 

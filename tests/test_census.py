@@ -252,6 +252,11 @@ def test_volume_pinned():
     assert repr(volume_V(get_model("E6"), R, 10**12)) == "3327353732328.02"
 
 
+def test_volume_is_python_float():
+    for mid in ("E1", "E2", "E3", "E4", "E5", "E6"):
+        assert type(volume_V(get_model(mid), R, 10**6)) is float, mid
+
+
 def test_jordan_upto():
     # checksums of the phi sieve that _jordan_upto(n, 1) replaced
     phi = census._jordan_upto(10**5, 1)

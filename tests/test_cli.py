@@ -89,3 +89,10 @@ def test_error_exit_codes(tmp_path):
     # a non-finite B is a config error, not a traceback or a numeric failure
     for flag in (["--B", "inf"], ["--B", "1e400"], ["--B", "nan"], ["--B-grid", "10,1e400"]):
         assert main(["count", "--model", "E1", "--S", "inf", *flag, "--out", str(tmp_path)]) == 2, flag
+    # so are a negative prime cutoff, a negative A and a B-grid value below 1
+    for argv in (
+        ["theta", "--model", "E1", "--prime-cutoff", "-1"],
+        ["poisson", "--model", "E1", "--s", "3", "--A", "-3"],
+        ["fit", "--model", "E1", "--S", "inf", "--B-grid", "0.5,2,3,4,5"],
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv

@@ -13,12 +13,15 @@ from heightzeta.density import (
     denef_density,
     euler_product,
     fourier_finite,
+    s_vector,
+    tau_adelic,
     tau_max_boundary,
     theta_constant,
     theta_factored,
+    zeta_S,
 )
 from heightzeta.errors import ConfigError, NonconvergentError, PoleError
-from heightzeta.localfield import Place, padic, psi
+from heightzeta.localfield import Place, padic, primes_upto, psi
 
 F = Fraction
 R = Place.real()
@@ -53,6 +56,21 @@ def test_denef_E4_geometric_series():
 def test_denef_pole():
     with pytest.raises(PoleError):
         denef_density(get_model("E2"), 3, 0.5)  # s_alpha = rho - 1 at s0 = 1/2
+
+
+def test_denef_density_array_matches_scalar():
+    primes = np.array(primes_upto(1000))
+    for mid in MODELS:
+        m = get_model(mid)
+        for restrict in (True, False):
+            for s0 in (1.05, 2.0, 2.3 + 0.7j):
+                scalar = [denef_density(m, int(p), s0, restrict=restrict) for p in primes]
+                assert all(type(v) is complex for v in scalar)
+                got = denef_density(m, primes, s0, restrict=restrict)
+                assert got.shape == primes.shape
+                assert np.all(np.abs(got - scalar) <= 2e-15 * np.abs(scalar)), (mid, restrict, s0)
+    with pytest.raises(PoleError, match="p=2,"):
+        denef_density(get_model("E2"), primes, 0.5)
 
 
 def test_denef_equals_oracle_grid():
@@ -206,6 +224,44 @@ def test_euler_product_tail_invariant():
         e1 = euler_product(m, 1.4, [R], cutoff=1000)
         e2 = euler_product(m, 1.4, [R], cutoff=2000)
         assert abs(e1.corrected - e2.corrected) <= 2.0 * e1.tail_estimate + 1e-12
+
+
+def test_euler_product_matches_prime_loop():
+    # the left-to-right product over scalar local factors it replaced
+    cutoff = 2000
+    for mid in ("E2", "E4", "E6"):
+        m = get_model(mid)
+        for fin in ((), (5,), (2, 3)):
+            S = [R] + [Place.finite(p) for p in fin]
+            for s0 in (1.05, 1.5, 1.5 + 0.4j):
+                smap = s_vector(m, s0)
+                ws = [1.0 + (smap[a] - m.divisors.rho_of(a)).real for a in m.divisors.kept]
+                head = math.prod(zeta_S(w, S) for w in ws)
+                partial = corrected = 1.0 + 0j
+                for p in primes_upto(cutoff):
+                    if p in fin:
+                        continue
+                    loc = denef_density(m, p, smap)
+                    reg = loc
+                    for w in ws:
+                        reg *= 1.0 - p ** (-w)
+                    partial *= loc
+                    corrected *= reg
+                e = euler_product(m, s0, S, cutoff=cutoff)
+                assert abs(e.partial - partial) <= 1e-13 * abs(partial), (mid, fin, s0)
+                assert abs(e.corrected - corrected * head) <= 1e-13 * abs(corrected * head), (mid, fin, s0)
+
+
+def test_products_without_primes():
+    # no prime outside S up to the cutoff: the empty product, pinned by repr
+    Q2, Q3 = Place.finite(2), Place.finite(3)
+    e = euler_product(get_model("E2"), 1.5, [R], cutoff=1)
+    assert repr(e) == "EulerProductValue(cutoff=1, partial=(1+0j), corrected=(1.6449340668482264+0j), tail_estimate=0.0)"
+    assert e.corrected == zeta_S(2.0, [R])
+    e = euler_product(get_model("E2"), 1.5, [R, Q2, Q3], cutoff=3)
+    assert repr(e) == "EulerProductValue(cutoff=3, partial=(1+0j), corrected=(1.096622711232151+0j), tail_estimate=0.0)"
+    assert e.corrected == zeta_S(2.0, [R, Q2, Q3])
+    assert repr(tau_adelic(get_model("E4"), [R], cutoff=1)) == "1.0"
 
 
 def test_theta_values():
