@@ -25,7 +25,6 @@ from .census import (
 )
 from .density import (
     EulerProductValue,
-    LocalDensity,
     ThetaResult,
     arch_density,
     brute_density_oracle,

@@ -2,6 +2,25 @@
 max-metric local heights, integrality tests, finite-field stratum counts,
 incidence data and character strata.
 
+A catalog model is a product of projective spaces, one P^{k_alpha} per
+boundary label alpha, each compactifying G_a^{k_alpha} by its hyperplane
+at infinity D_alpha; ``norm_coords[alpha]`` lists the k_alpha coordinates
+of that factor.  The points counted are those off the hyperplanes of the
+removed labels.  An entry states only its labels with their coordinate
+blocks and its removed set; the rest follows from the blocks:
+
+* dim = sum k_alpha, rho_alpha = k_alpha + 1 (the anticanonical class of
+  P^k is k + 1 hyperplanes) and lambda_alpha = rho_alpha - [alpha removed];
+* the boundary strata D_A^0 are indexed by the nonempty label sets A: a
+  point of D_A^0 lies at infinity in the factors of A and in the affine
+  part of the others, so #D_A^0(F_q) = prod_{alpha in A} #P^{k_alpha - 1}(F_q)
+  prod_{alpha not in A} q^{k_alpha}.  Each stratum is a product of
+  projective spaces and has rational points over every completion;
+* the linear form <a, .> has a simple pole along D_alpha exactly when a is
+  nonzero on the block of alpha, so the character strata are again the
+  nonempty label sets;
+* ||f_alpha||_v(x) = 1 / max(1, |x_i|_v : i in the block of alpha).
+
 Entries (all with the obvious Z-models, good reduction everywhere):
 
   E1  P^1  minus the point at infinity          lambda = (1)
@@ -12,17 +31,16 @@ Entries (all with the obvious Z-models, good reduction everywhere):
   E6  P^2, nothing removed                      lambda = (3)
 
 Metrics are max-metrics at every place, so local heights are exact
-rationals.  An optional smoothed archimedean metric (``smoothing_k``) is
-provided for sensitivity experiments; it changes only ``local_height`` and
-``height``.  Counts and ``arch_density`` do not read it: they always use
-the max-metric.
+rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .boundary import CharacterStratum, DivisorScheme
 from .errors import ConfigError
@@ -45,28 +63,28 @@ def _max_norm(place: Place, vals: Sequence[Fraction]) -> Fraction:
 
 @dataclass
 class CompactificationModel:
+    """prod_alpha P^{k_alpha} minus the hyperplanes at infinity of the
+    removed labels, k_alpha = len(norm_coords[alpha])."""
+
     id: str
-    dim: int
-    divisors: DivisorScheme
-    # label -> indices of the coordinates entering the max-norm of 1/||f||
+    # label -> indices of the coordinates of its factor P^k, which enter
+    # the max-norm of 1/||f_alpha||
     norm_coords: dict
-    _stratum_counts: dict  # frozenset -> callable q -> count
-    _strata: list
-    arch_closed_form: Callable | None = None
-    arch_exponents: Callable | None = None  # s0 -> per-coordinate exponents, separable models
-    smoothing_k: int | None = None  # optional smoothed archimedean metric
+    removed: InitVar[Sequence[str]] = ()
+    dim: int = field(init=False)
+    divisors: DivisorScheme = field(init=False)
+
+    def __post_init__(self, removed):
+        blocks = self.norm_coords.values()
+        self.dim = sum(map(len, blocks))
+        self.divisors = DivisorScheme(tuple(self.norm_coords), tuple(len(b) + 1 for b in blocks), frozenset(removed))
 
     # -- local heights -------------------------------------------------
 
-    def local_height(self, place: Place, alpha: str, x) -> Fraction | float:
-        """||f_alpha||_v(x) <= 1; exact rational except under the smoothed
-        archimedean metric option."""
+    def local_height(self, place: Place, alpha: str, x) -> Fraction:
+        """||f_alpha||_v(x) <= 1, an exact rational."""
         x = self._coords(x)
-        vals = [x[i] for i in self.norm_coords[alpha]]
-        if self.smoothing_k and place.is_archimedean:
-            k = self.smoothing_k
-            return (1.0 + sum(float(v) ** (2 * k) for v in vals)) ** (-1.0 / (2 * k))
-        return Fraction(1) / _max_norm(place, vals)
+        return Fraction(1) / _max_norm(place, [x[i] for i in self.norm_coords[alpha]])
 
     def height_base(self, x) -> Fraction:
         """H(x; lambda) as an exact rational: the product over all places
@@ -108,17 +126,25 @@ class CompactificationModel:
     # -- combinatorics and finite-field data ----------------------------
 
     def incidence_faces(self) -> list[frozenset]:
-        return [A for A in self._stratum_counts if A]
+        """The nonempty label sets, by size, in label order."""
+        labels = self.divisors.labels
+        return [frozenset(c) for r in range(1, len(labels) + 1) for c in combinations(labels, r)]
 
     def has_rational_points(self, A: frozenset, place: Place) -> bool:
-        # every nonempty catalog stratum is a point or a projective line
-        # with an obvious rational point, over every completion
-        return frozenset(A) in self._stratum_counts
+        # every stratum is a product of projective spaces, with rational
+        # points over every completion
+        return set(A) <= set(self.norm_coords)
 
-    def stratum_counts(self, q: int, A) -> int:
-        """#D_A^0(F_q) for the locally closed stratum indexed by A."""
-        fn = self._stratum_counts.get(frozenset(A))
-        return fn(q) if fn else 0
+    def stratum_counts(self, q, A):
+        """#D_A^0(F_q) for the locally closed stratum indexed by A: per
+        factor P^k, the (q^k - 1)/(q - 1) points at infinity for a label in
+        A and the q^k affine points otherwise; 0 unless A is a set of
+        labels.  ``q`` may be an integer array."""
+        if not set(A) <= set(self.norm_coords):
+            return 0
+        return math.prod(
+            (q ** len(idx) - 1) // (q - 1) if alpha in A else q ** len(idx) for alpha, idx in self.norm_coords.items()
+        )
 
     def coefficient_pattern(self, a: Coords) -> dict:
         """d_alpha(a) for nonzero a: the form <a, .> has a simple pole along
@@ -127,7 +153,22 @@ class CompactificationModel:
         return {alpha: int(any(a[i] != 0 for i in idx)) for alpha, idx in self.norm_coords.items()}
 
     def strata(self) -> list[CharacterStratum]:
-        return list(self._strata)
+        """One stratum per nonempty label set A, largest first: the forms
+        nonzero exactly on the blocks of A.  With one label the stratum is
+        named "alpha=1", else by the vanishing of a_j on the j-th block."""
+        return [self._stratum(A) for A in sorted(self.incidence_faces(), key=len, reverse=True)]
+
+    def _stratum(self, A: frozenset) -> CharacterStratum:
+        pattern = {alpha: int(alpha in A) for alpha in self.norm_coords}
+        rep = [Fraction(0)] * self.dim
+        for alpha in A:
+            for i in self.norm_coords[alpha]:
+                rep[i] = Fraction(1)
+        if len(pattern) == 1:
+            label = f"{next(iter(pattern))}=1"
+        else:
+            label = ",".join(f"a{j}{'!=' if d else '='}0" for j, d in enumerate(pattern.values(), 1))
+        return CharacterStratum(label, pattern, tuple(rep), lambda a: self.coefficient_pattern(a) == pattern)
 
     # -- boundary residue charts (for the boundary term of the constant) --
 
@@ -152,8 +193,8 @@ class CompactificationModel:
             "rho": {a: div.rho_of(a) for a in div.labels},
             "lambda": {a: div.lam(a) for a in div.labels},
             "removed": sorted(div.removed),
-            "boundary_strata": sorted(sorted(A) for A in self._stratum_counts if A),
-            "character_strata": [st.label for st in self._strata],
+            "boundary_strata": sorted(sorted(A) for A in self.incidence_faces()),
+            "character_strata": [st.label for st in self.strata()],
         }
 
 
@@ -161,113 +202,12 @@ class CompactificationModel:
 # concrete entries
 
 
-def _one_stratum(label: str, n: int) -> list[CharacterStratum]:
-    return [
-        CharacterStratum(
-            label=f"{label}=1",
-            pattern={label: 1},
-            representative=tuple([Fraction(1)] * n),
-            contains=lambda a: any(t != 0 for t in a),
-        )
-    ]
-
-
-def _two_coord_strata() -> list[CharacterStratum]:
-    return [
-        CharacterStratum(
-            "a1!=0,a2!=0",
-            {"Dx": 1, "Dy": 1},
-            (Fraction(1), Fraction(1)),
-            lambda a: a[0] != 0 and a[1] != 0,
-        ),
-        CharacterStratum(
-            "a1!=0,a2=0",
-            {"Dx": 1, "Dy": 0},
-            (Fraction(1), Fraction(0)),
-            lambda a: a[0] != 0 and a[1] == 0,
-        ),
-        CharacterStratum(
-            "a1=0,a2!=0",
-            {"Dx": 0, "Dy": 1},
-            (Fraction(0), Fraction(1)),
-            lambda a: a[0] == 0 and a[1] != 0,
-        ),
-    ]
-
-
-E1 = CompactificationModel(
-    id="E1",
-    dim=1,
-    divisors=DivisorScheme(("inf",), (2,), frozenset({"inf"})),
-    norm_coords={"inf": (0,)},
-    _stratum_counts={frozenset(): (lambda q: q), frozenset({"inf"}): (lambda q: 1)},
-    _strata=_one_stratum("inf", 1),
-    arch_closed_form=lambda s: 2.0 + 2.0 / (s - 1.0),
-    arch_exponents=lambda s: [s],
-)
-
-E2 = CompactificationModel(
-    id="E2",
-    dim=1,
-    divisors=DivisorScheme(("inf",), (2,), frozenset()),
-    norm_coords={"inf": (0,)},
-    _stratum_counts={frozenset(): (lambda q: q), frozenset({"inf"}): (lambda q: 1)},
-    _strata=_one_stratum("inf", 1),
-    arch_closed_form=lambda s: 2.0 + 2.0 / (2.0 * s - 1.0),
-    arch_exponents=lambda s: [2.0 * s],
-)
-
-E3 = CompactificationModel(
-    id="E3",
-    dim=2,
-    divisors=DivisorScheme(("H",), (3,), frozenset({"H"})),
-    norm_coords={"H": (0, 1)},
-    _stratum_counts={frozenset(): (lambda q: q * q), frozenset({"H"}): (lambda q: q + 1)},
-    _strata=_one_stratum("H", 2),
-    arch_closed_form=lambda s: 4.0 + 4.0 / (s - 1.0),
-)
-
-E4 = CompactificationModel(
-    id="E4",
-    dim=2,
-    divisors=DivisorScheme(("Dx", "Dy"), (2, 2), frozenset({"Dy"})),
-    norm_coords={"Dx": (0,), "Dy": (1,)},
-    _stratum_counts={
-        frozenset(): (lambda q: q * q),
-        frozenset({"Dx"}): (lambda q: q),
-        frozenset({"Dy"}): (lambda q: q),
-        frozenset({"Dx", "Dy"}): (lambda q: 1),
-    },
-    _strata=_two_coord_strata(),
-    arch_closed_form=lambda s: (2.0 + 2.0 / (2.0 * s - 1.0)) * (2.0 + 2.0 / (s - 1.0)),
-    arch_exponents=lambda s: [2.0 * s, s],
-)
-
-E5 = CompactificationModel(
-    id="E5",
-    dim=2,
-    divisors=DivisorScheme(("Dx", "Dy"), (2, 2), frozenset({"Dx", "Dy"})),
-    norm_coords={"Dx": (0,), "Dy": (1,)},
-    _stratum_counts={
-        frozenset(): (lambda q: q * q),
-        frozenset({"Dx"}): (lambda q: q),
-        frozenset({"Dy"}): (lambda q: q),
-        frozenset({"Dx", "Dy"}): (lambda q: 1),
-    },
-    _strata=_two_coord_strata(),
-    arch_closed_form=lambda s: (2.0 + 2.0 / (s - 1.0)) ** 2,
-    arch_exponents=lambda s: [s, s],
-)
-
-E6 = CompactificationModel(
-    id="E6",
-    dim=2,
-    divisors=DivisorScheme(("H",), (3,), frozenset()),
-    norm_coords={"H": (0, 1)},
-    _stratum_counts={frozenset(): (lambda q: q * q), frozenset({"H"}): (lambda q: q + 1)},
-    _strata=_one_stratum("H", 2),
-    arch_closed_form=lambda s: 4.0 + 8.0 / (3.0 * s - 2.0),
-)
+E1 = CompactificationModel("E1", {"inf": (0,)}, removed={"inf"})
+E2 = CompactificationModel("E2", {"inf": (0,)})
+E3 = CompactificationModel("E3", {"H": (0, 1)}, removed={"H"})
+E4 = CompactificationModel("E4", {"Dx": (0,), "Dy": (1,)}, removed={"Dy"})
+E5 = CompactificationModel("E5", {"Dx": (0,), "Dy": (1,)}, removed={"Dx", "Dy"})
+E6 = CompactificationModel("E6", {"H": (0, 1)})
 
 MODELS: dict[str, CompactificationModel] = {m.id: m for m in (E1, E2, E3, E4, E5, E6)}
 

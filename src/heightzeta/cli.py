@@ -69,7 +69,10 @@ def _parse_place(text: str) -> Place:
         return Place.real()
     if text in ("complex", "C"):
         return Place.complex_()
-    return Place.finite(int(text))
+    try:
+        return Place.finite(int(text))
+    except ValueError:
+        raise ConfigError(f"unknown place {text!r}: use real, complex or a prime") from None
 
 
 def _parse_phi(spec: str, place: Place):
@@ -80,17 +83,29 @@ def _parse_phi(spec: str, place: Place):
         if spec == "units":
             return StepFunction.indicator_units(p)
         if spec.startswith("coset:"):
-            _, c, n = spec.split(":")
-            return StepFunction.indicator_coset(p, Fraction(c), int(n))
+            c, n = _phi_args(spec, "coset:<center>:<n>", Fraction, int)
+            return StepFunction.indicator_coset(p, c, n)
         raise ConfigError(f"unknown p-adic test function {spec!r}")
     if spec in ("zp", "bump"):
         bump = BumpFunction.standard()
     elif spec.startswith("bump:"):
-        parts = spec.split(":")
-        bump = BumpFunction.standard(float(parts[1]), float(parts[2]))
+        center, radius = _phi_args(spec, "bump:<center>:<radius>", float, float)
+        bump = BumpFunction.standard(center, radius)
     else:
         raise ConfigError(f"unknown archimedean test function {spec!r}")
     return RadialBump(bump) if place.kind == "complex" else bump
+
+
+def _phi_args(spec: str, form: str, *types) -> list:
+    """The ':'-separated fields of a test-function spec after its name,
+    converted by ``types``."""
+    fields = spec.split(":")[1:]
+    try:
+        if len(fields) == len(types):
+            return [t(x) for t, x in zip(types, fields)]
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"bad test function {spec!r}: use {form}")
 
 
 def _write_json(cfg: ExperimentConfig, name: str, payload) -> str:
@@ -176,27 +191,20 @@ def _run_density(cfg: ExperimentConfig):
     place = _parse_place(cfg.place)
     if place.is_finite:
         val = density.denef_density(model, place.prime, cfg.s, restrict=cfg.restrict)
-        exact = True
     else:
         val = density.arch_density(model, 0, cfg.s)
-        exact = model.arch_closed_form is not None
-    rec = density.LocalDensity(
-        place=str(place),
-        s=complex(cfg.s),
-        value=complex(val),
-        exact=exact,
-        tail_bound=0.0 if exact else None,
-    )
+    # both are closed forms: the stratum-count formula and, per block, the
+    # archimedean transform at a = 0
     payload = {
         "model": model.id,
-        "place": rec.place,
+        "place": str(place),
         "s": cfg.s,
-        "value": [rec.value.real, rec.value.imag],
-        "exactness": "exact" if rec.exact else "quadrature",
-        "tail_bound": rec.tail_bound,
+        "value": [val.real, val.imag],
+        "exactness": "exact",
+        "tail_bound": 0.0,
     }
     _write_json(cfg, f"density_{model.id}.json", payload)
-    print(f"H^_{place}(0; {cfg.s}*lambda) = {complex(val):.12g} [{model.id}]")
+    print(f"H^_{place}(0; {cfg.s}*lambda) = {val:.12g} [{model.id}]")
     return payload
 
 
@@ -390,16 +398,19 @@ def config_from_args(args) -> ExperimentConfig:
             val = base[f.name]
         if val is None:
             continue
-        if f.name in ("S",):
-            val = tuple(str(val).split(",")) if isinstance(val, str) else tuple(val)
-        elif f.name in ("B_grid", "a_grid") and isinstance(val, str):
-            val = _floats(val)
-        elif f.name in ("B", "s"):
-            val = float(val)
-        elif f.name in ("d", "A", "b", "prime_cutoff", "threads"):
-            val = int(val)
-        elif f.name == "restrict":
-            val = val if isinstance(val, bool) else str(val).lower() not in ("0", "false", "no")
+        try:
+            if f.name in ("S",):
+                val = tuple(str(val).split(",")) if isinstance(val, str) else tuple(val)
+            elif f.name in ("B_grid", "a_grid") and isinstance(val, str):
+                val = _floats(val)
+            elif f.name in ("B", "s"):
+                val = float(val)
+            elif f.name in ("d", "A", "b", "prime_cutoff", "threads"):
+                val = int(val)
+            elif f.name == "restrict":
+                val = val if isinstance(val, bool) else str(val).lower() not in ("0", "false", "no")
+        except ValueError:
+            raise ConfigError(f"bad value for {f.name}: {val!r}") from None
         setattr(cfg, f.name, val)
     return cfg
 

@@ -41,15 +41,6 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass
-class LocalDensity:
-    place: str
-    s: complex
-    value: complex
-    exact: bool
-    tail_bound: float | None = None
-
-
-@dataclass
 class EulerProductValue:
     cutoff: int
     partial: complex  # plain product of local factors up to the cutoff
@@ -159,10 +150,7 @@ class _CellProber:
                 val = None
             else:
                 val = tuple(
-                    -self.ctx.valuation(self.model.local_height(self.place, a, pt))
-                    if self.model.local_height(self.place, a, pt) != 0
-                    else None
-                    for a in self.model.divisors.labels
+                    -self.ctx.valuation(self.model.local_height(self.place, a, pt)) for a in self.model.divisors.labels
                 )
             if seen is None:
                 seen = ("set", val)
@@ -366,20 +354,21 @@ def _cos_transform(f, lo: float, b: float) -> complex:
     return quad_complex(f, lo, math.inf, weight="cos", wvar=b, **tol)[0]
 
 
-def _arch_transform_max1d(a: float, w: complex) -> complex:
-    """int max(1,|x|)^{-w} psi(ax) dx on R.  The integrand is even, so this
-    is 2 int_0^inf max(1,x)^{-w} cos(2 pi a x) dx, split at x = 1."""
-    if a == 0.0:
+def _arch_transform_max1d(a: Sequence[float], w: complex) -> complex:
+    """int max(1,|x|)^{-w} psi(a1 x) dx on R, a = (a1,).  The integrand is
+    even, so this is 2 int_0^inf max(1,x)^{-w} cos(2 pi a1 x) dx, split at
+    x = 1."""
+    if a[0] == 0.0:
         return 2.0 + 2.0 / (w - 1.0)
-    b = TWO_PI * abs(a)
+    b = TWO_PI * abs(a[0])
     return 2.0 * _box(1.0, b) + 2.0 * _cos_transform(lambda x: x ** (-w), 1.0, b)
 
 
-def _arch_joint_max(model, a, w: complex) -> complex:
-    """int max(1,|x|,|y|)^{-w} psi(a1 x + a2 y) dx dy for the plane models,
-    as the cosine transform 4 int_0^inf int_0^inf max(1,x,y)^{-w}
-    cos(b1 x) cos(b2 y) dx dy with b_i = 2 pi |a_i|."""
-    b1, b2 = TWO_PI * abs(float(a[0])), TWO_PI * abs(float(a[1]))
+def _arch_joint_max(a: Sequence[float], w: complex) -> complex:
+    """int max(1,|x|,|y|)^{-w} psi(a1 x + a2 y) dx dy on R^2, as the cosine
+    transform 4 int_0^inf int_0^inf max(1,x,y)^{-w} cos(b1 x) cos(b2 y)
+    dx dy with b_i = 2 pi |a_i|."""
+    b1, b2 = TWO_PI * abs(a[0]), TWO_PI * abs(a[1])
     if b1 == 0.0 and b2 == 0.0:
         return 4.0 + 8.0 / (w - 2.0)
     if b2 == 0.0:
@@ -424,31 +413,26 @@ def _quad_joint_max(w: float) -> float:
     return val
 
 
+# block size -> (transform of max(1, |x_i|)^{-w}, direct quadrature at a = 0)
+_BLOCK_TRANSFORMS = {1: (_arch_transform_max1d, _quad_max1d), 2: (_arch_joint_max, _quad_joint_max)}
+
+
 def arch_density(model, a, s0, method: str = "auto") -> complex:
-    """H^_inf(a; s0*lambda): the archimedean height transform.  At a = 0
-    the catalog closed forms are used unless ``method='quad'`` forces
-    direct quadrature (the cross-check path)."""
+    """H^_inf(a; s0*lambda): the archimedean height transform, the product
+    over labels alpha of the transform of max(1, |x_i| : i in the block of
+    alpha)^{-lambda_alpha s0} at the block of a.  Each is closed-form at a
+    zero block; ``method='quad'`` replaces them at a = 0 by direct
+    quadrature (the cross-check path)."""
     s0 = complex(s0)
-    zero = a is None or (isinstance(a, (int, float, Fraction)) and a == 0) or (
-        isinstance(a, (tuple, list)) and all(t == 0 for t in a)
-    )
-    if zero and method == "quad":
-        if model.arch_exponents is not None:
-            return complex(np.prod([_quad_max1d(w.real) for w in map(complex, model.arch_exponents(s0))]))
-        w = model.divisors.lam(model.divisors.labels[0]) * s0
-        return complex(_quad_joint_max(w.real))
-    if zero and model.arch_closed_form is not None:
-        return complex(model.arch_closed_form(s0))
-    if model.arch_exponents is not None:
-        ws = model.arch_exponents(s0)
-        avec = a if isinstance(a, (tuple, list)) else (a,)
-        out = 1.0 + 0j
-        for ai, w in zip(avec, ws):
-            out *= _arch_transform_max1d(float(ai), w)
-        return out
-    # joint max models (E3, E6)
-    w = model.divisors.lam(model.divisors.labels[0]) * s0
-    return _arch_joint_max(model, a, w)
+    if not isinstance(a, (tuple, list)):
+        a = (0.0,) * model.dim if a is None or a == 0 else (a,)
+    avec = [float(t) for t in a]
+    if len(avec) != model.dim:
+        raise ValueError(f"{model.id} expects a character of dimension {model.dim}")
+    blocks = [(model.divisors.lam(alpha) * s0, idx) for alpha, idx in model.norm_coords.items()]
+    if method == "quad" and not any(avec):
+        return complex(math.prod(_BLOCK_TRANSFORMS[len(idx)][1](w.real) for w, idx in blocks))
+    return math.prod(_BLOCK_TRANSFORMS[len(idx)][0]([avec[i] for i in idx], w) for w, idx in blocks)
 
 
 # ---------------------------------------------------------------------------

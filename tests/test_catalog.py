@@ -135,12 +135,97 @@ def test_describe():
     assert d["removed"] == ["Dy"]
 
 
-def test_smoothed_metric_option():
-    import copy
+# Per-model reference data written out by hand, independent of the
+# coordinate blocks the catalog derives it from.
+_PARENT_COUNTS = {
+    "E1": {(): lambda q: q, ("inf",): lambda q: 1},
+    "E2": {(): lambda q: q, ("inf",): lambda q: 1},
+    "E3": {(): lambda q: q * q, ("H",): lambda q: q + 1},
+    "E4": {(): lambda q: q * q, ("Dx",): lambda q: q, ("Dy",): lambda q: q, ("Dx", "Dy"): lambda q: 1},
+    "E5": {(): lambda q: q * q, ("Dx",): lambda q: q, ("Dy",): lambda q: q, ("Dx", "Dy"): lambda q: 1},
+    "E6": {(): lambda q: q * q, ("H",): lambda q: q + 1},
+}
+_PARENT_ARCH = {
+    "E1": lambda s: 2.0 + 2.0 / (s - 1.0),
+    "E2": lambda s: 2.0 + 2.0 / (2.0 * s - 1.0),
+    "E3": lambda s: 4.0 + 4.0 / (s - 1.0),
+    "E4": lambda s: (2.0 + 2.0 / (2.0 * s - 1.0)) * (2.0 + 2.0 / (s - 1.0)),
+    "E5": lambda s: (2.0 + 2.0 / (s - 1.0)) ** 2,
+    "E6": lambda s: 4.0 + 8.0 / (3.0 * s - 2.0),
+}
+_PARENT_EXPONENTS = {
+    "E1": lambda s: [s],
+    "E2": lambda s: [2.0 * s],
+    "E4": lambda s: [2.0 * s, s],
+    "E5": lambda s: [s, s],
+}
+_ONE = (F(1),)
+_PARENT_STRATA = {
+    "E1": [("inf=1", {"inf": 1}, _ONE, lambda a: any(t != 0 for t in a))],
+    "E2": [("inf=1", {"inf": 1}, _ONE, lambda a: any(t != 0 for t in a))],
+    "E3": [("H=1", {"H": 1}, _ONE * 2, lambda a: any(t != 0 for t in a))],
+    "E6": [("H=1", {"H": 1}, _ONE * 2, lambda a: any(t != 0 for t in a))],
+    "E4": [
+        ("a1!=0,a2!=0", {"Dx": 1, "Dy": 1}, (F(1), F(1)), lambda a: a[0] != 0 and a[1] != 0),
+        ("a1!=0,a2=0", {"Dx": 1, "Dy": 0}, (F(1), F(0)), lambda a: a[0] != 0 and a[1] == 0),
+        ("a1=0,a2!=0", {"Dx": 0, "Dy": 1}, (F(0), F(1)), lambda a: a[0] == 0 and a[1] != 0),
+    ],
+}
+_PARENT_STRATA["E5"] = _PARENT_STRATA["E4"]
 
-    m = copy.copy(get_model("E1"))
-    m.smoothing_k = 4
-    v = m.local_height(R, "inf", F(2))
-    assert 0 < v < F(1, 2) + F(1, 100)
-    # finite places stay exact under the smoothing option
-    assert m.local_height(Place.finite(2), "inf", F(1, 2)) == F(1, 2)
+
+def _parent_describe(mid, dim, labels, rho, lam, removed, faces):
+    strata = [st[0] for st in _PARENT_STRATA[mid]]
+    return {"id": mid, "dim": dim, "labels": labels, "rho": rho, "lambda": lam, "removed": removed,
+            "boundary_strata": faces, "character_strata": strata}
+
+
+_PARENT_DESCRIBE = {
+    "E1": _parent_describe("E1", 1, ["inf"], {"inf": 2}, {"inf": 1}, ["inf"], [["inf"]]),
+    "E2": _parent_describe("E2", 1, ["inf"], {"inf": 2}, {"inf": 2}, [], [["inf"]]),
+    "E3": _parent_describe("E3", 2, ["H"], {"H": 3}, {"H": 2}, ["H"], [["H"]]),
+    "E4": _parent_describe("E4", 2, ["Dx", "Dy"], {"Dx": 2, "Dy": 2}, {"Dx": 2, "Dy": 1}, ["Dy"],
+                           [["Dx"], ["Dx", "Dy"], ["Dy"]]),
+    "E5": _parent_describe("E5", 2, ["Dx", "Dy"], {"Dx": 2, "Dy": 2}, {"Dx": 1, "Dy": 1}, ["Dx", "Dy"],
+                           [["Dx"], ["Dx", "Dy"], ["Dy"]]),
+    "E6": _parent_describe("E6", 2, ["H"], {"H": 3}, {"H": 3}, [], [["H"]]),
+}
+
+
+def test_catalog_pinned_to_parent():
+    import itertools
+
+    import numpy as np
+
+    from heightzeta.density import arch_density
+
+    assert sorted(MODELS) == sorted(_PARENT_DESCRIBE)
+    qs = np.array([2, 3, 5, 7, 11, 101, 7919])
+    grid = [F(t) for t in (-2, -1, 0, 1, 3)] + [F(1, 2)]
+    for mid, m in MODELS.items():
+        assert m.describe() == _PARENT_DESCRIBE[mid]
+        # stratum counts: the faces in the parent's order, the counts on
+        # scalars and on arrays, 0 off the faces
+        counts = _PARENT_COUNTS[mid]
+        assert m.incidence_faces() == [frozenset(A) for A in counts if A]
+        labels = m.divisors.labels
+        for r in range(len(labels) + 2):
+            for A in itertools.combinations(labels + ("nope",), r):
+                want = counts.get(A, lambda q: 0)
+                assert m.has_rational_points(frozenset(A), R) == (A in counts)
+                for q in qs.tolist():
+                    assert m.stratum_counts(q, frozenset(A)) == want(q), (mid, A, q)
+                assert np.array_equal(np.broadcast_to(m.stratum_counts(qs, frozenset(A)), qs.shape),
+                                      np.broadcast_to(want(qs), qs.shape)), (mid, A)
+        # character strata: label, pattern, representative and membership
+        got = [(st.label, st.pattern, st.representative) for st in m.strata()]
+        assert got == [st[:3] for st in _PARENT_STRATA[mid]]
+        for st, ref in zip(m.strata(), _PARENT_STRATA[mid]):
+            for a in itertools.product(grid, repeat=m.dim):
+                assert st.contains(a) == ref[3](a), (mid, st.label, a)
+        # the archimedean transform at a = 0 is the closed form, exactly
+        for s0 in (1.05, 1.5, 2.0, 2.75, 7.0, 1.4 + 0.5j, 2.0 + 1.0j, 1.1 - 3.0j):
+            s = complex(s0)
+            assert arch_density(m, 0, s0) == _PARENT_ARCH[mid](s), (mid, s0)
+            if mid in _PARENT_EXPONENTS:
+                assert [m.divisors.lam(alpha) * s for alpha in labels] == _PARENT_EXPONENTS[mid](s)

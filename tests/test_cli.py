@@ -96,3 +96,17 @@ def test_error_exit_codes(tmp_path):
         ["fit", "--model", "E1", "--S", "inf", "--B-grid", "0.5,2,3,4,5"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+    # and so are a place that is not a prime, a malformed test function and
+    # a config value that is not a number
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("model=E1\nB=ten\nS=inf\n")
+    for argv in (
+        ["density", "--model", "E1", "--place", "4"],
+        ["density", "--model", "E1", "--place", "9"],
+        ["density", "--model", "E1", "--place", "foo"],
+        ["osc", "--phi", "bump:x:1"],
+        ["osc", "--phi", "bump:1"],
+        ["osc", "--place", "3", "--phi", "coset:1/0:2"],
+        ["count", "--config", str(cfgfile)],
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
