@@ -62,6 +62,10 @@ class ExperimentConfig:
             raise ConfigError("A must be >= 0")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.d < 1:
+            raise ConfigError("d must be >= 1")
+        if not all(math.isfinite(a) and a > 0 for a in self.a_grid):
+            raise ConfigError(f"a-grid values are |a| and must be finite and > 0: {', '.join(map(str, self.a_grid))}")
 
 
 def _parse_place(text: str) -> Place:
@@ -84,12 +88,17 @@ def _parse_phi(spec: str, place: Place):
             return StepFunction.indicator_units(p)
         if spec.startswith("coset:"):
             c, n = _phi_args(spec, "coset:<center>:<n>", Fraction, int)
-            return StepFunction.indicator_coset(p, c, n)
+            try:
+                return StepFunction.indicator_coset(p, c, n)
+            except ValueError as exc:
+                raise ConfigError(f"bad test function {spec!r}: {exc}") from None
         raise ConfigError(f"unknown p-adic test function {spec!r}")
     if spec in ("zp", "bump"):
         bump = BumpFunction.standard()
     elif spec.startswith("bump:"):
         center, radius = _phi_args(spec, "bump:<center>:<radius>", float, float)
+        if not (math.isfinite(center) and 0.0 < radius < math.inf):
+            raise ConfigError(f"bad test function {spec!r}: need a finite center and a radius in (0, inf)")
         bump = BumpFunction.standard(center, radius)
     else:
         raise ConfigError(f"unknown archimedean test function {spec!r}")

@@ -342,16 +342,36 @@ def _box(M: float, b: float) -> float:
     return math.sin(b * M) / b if b != 0.0 else M
 
 
-def _cos_transform(f, lo: float, b: float) -> complex:
-    """int_lo^inf f(x) cos(b x) dx: one QAWF cosine call per real part of
-    f, or plain quadrature at b = 0, where the cosine weight is wrong.
-    The tolerance is one digit tighter than the quad_complex default: at
-    1e-10 the outer transform of _arch_joint_max, whose integrand is itself
-    a transform, lands anywhere from 1e-12 to 6e-11 off, depending on a."""
-    tol = dict(epsrel=1e-11, epsabs=1e-13)
-    if b == 0.0:
-        return quad_complex(f, lo, math.inf, **tol)[0]
-    return quad_complex(f, lo, math.inf, weight="cos", wvar=b, **tol)[0]
+# QUADPACK's Fourier weight on [1, inf) returns wrong values with no error
+# flag below a frequency of about 2e-3: the cosine tail of x^{-18} at
+# b = 1.8e-3 comes out near 0 instead of 1/17, with an error estimate of 7e-15
+_QAWF_MIN_FREQ = 1.0
+# the joint transform's divided difference of sine tails loses about
+# log10(b2 / b1) digits: 1e-11 of the value at b1 = 1e-4 b2, 2e-10 at 1e-5 b2
+_JOINT_MIN_RATIO = 1e-4
+
+
+def _power_tail(w: complex, b: float, kind: str) -> complex:
+    """int_1^inf x^{-w} cos(b x) dx (kind "cos") or x^{-w} sin(b x) dx
+    (kind "sin") for b > 0, by QAWF.  Below the frequency _QAWF_MIN_FREQ
+    the range is split at X = _QAWF_MIN_FREQ / b: on [1, X] the phase b x
+    stays below _QAWF_MIN_FREQ and the integral is taken in u = log x
+    without a weight, and [X, inf) is X^{1-w} int_1^inf t^{-w}
+    trig(_QAWF_MIN_FREQ t) dt.  QAWF works to an absolute tolerance alone:
+    1e-13 on the unscaled t^{-w}, one digit tighter than the quad_complex
+    default.  It must not be tightened further, or QAWF runs out of cycles
+    (at 1e-17 the cosine tail of t^{-1.1-2i} comes out 3e-3 off).  The head
+    gets the absolute tolerance 1e-13 b, because the sine tail is O(b) and
+    the joint transform divides it by a frequency."""
+    X = max(1.0, _QAWF_MIN_FREQ / b)
+    tail = quad_complex(lambda t: t ** (-w), 1.0, math.inf, weight=kind, wvar=b * X, epsrel=1e-11, epsabs=1e-13)[0]
+    if X == 1.0:
+        return tail
+    trig = math.cos if kind == "cos" else math.sin
+    head = quad_complex(
+        lambda u: cmath.exp((1.0 - w) * u) * trig(b * math.exp(u)), 0.0, math.log(X), epsrel=1e-11, epsabs=1e-13 * b
+    )[0]
+    return head + X ** (1.0 - w) * tail
 
 
 def _arch_transform_max1d(a: Sequence[float], w: complex) -> complex:
@@ -361,28 +381,39 @@ def _arch_transform_max1d(a: Sequence[float], w: complex) -> complex:
     if a[0] == 0.0:
         return 2.0 + 2.0 / (w - 1.0)
     b = TWO_PI * abs(a[0])
-    return 2.0 * _box(1.0, b) + 2.0 * _cos_transform(lambda x: x ** (-w), 1.0, b)
+    return 2.0 * _box(1.0, b) + 2.0 * _power_tail(w, b, "cos")
 
 
 def _arch_joint_max(a: Sequence[float], w: complex) -> complex:
     """int max(1,|x|,|y|)^{-w} psi(a1 x + a2 y) dx dy on R^2, as the cosine
     transform 4 int_0^inf int_0^inf max(1,x,y)^{-w} cos(b1 x) cos(b2 y)
-    dx dy with b_i = 2 pi |a_i|."""
-    b1, b2 = TWO_PI * abs(a[0]), TWO_PI * abs(a[1])
-    if b1 == 0.0 and b2 == 0.0:
-        return 4.0 + 8.0 / (w - 2.0)
+    dx dy, with b1 <= b2 the two frequencies 2 pi |a_i| (the integrand is
+    symmetric in x and y).
+
+    The order of integration is exchanged so that the inner integral is
+    the closed-form one: where y >= max(1, x) the height is y^{-w}, and the
+    x-integral over [0, y] is sin(b1 y)/b1; likewise with x and y swapped.
+    With the unit square this gives
+      sin(b1) sin(b2)/(b1 b2) + int_1^inf y^{-w} sin(b1 y)/b1 cos(b2 y) dy
+                              + int_1^inf x^{-w} sin(b2 x)/b2 cos(b1 x) dx,
+    and by the product-to-sum identities, with S(b) the sine transform of
+    x^{-w} on [1, inf),
+      sin(b1) sin(b2)/(b1 b2) + (S(b2+b1) - S(b2-b1))/(2 b1)
+                              + (S(b2+b1) + S(b2-b1))/(2 b2).
+    At b1 = 0 the first integral is the cosine transform of y^{1-w}.
+    Ordering b1 <= b2 keeps both frequencies b2 -+ b1 nonnegative, and
+    names the frequency whose divided difference cancels: for
+    0 < b1 < _JOINT_MIN_RATIO b2 it would leave fewer than ten good digits,
+    and the transform raises NumericError instead."""
+    b1, b2 = sorted(TWO_PI * abs(t) for t in a)
     if b2 == 0.0:
-        # the integrand is symmetric in x and y; a zero frequency is cheaper
-        # on the inner integral, which is then not oscillatory
-        b1, b2 = b2, b1
-
-    def inner(y: float) -> complex:
-        # the transform in x is closed-form on [0, M], M = max(1, y)
-        M = max(1.0, y)
-        return M ** (-w) * _box(M, b1) + _cos_transform(lambda x: x ** (-w), M, b1)
-
-    # inner(y) is constant on [0, 1]
-    return 4.0 * (inner(1.0) * _box(1.0, b2) + _cos_transform(inner, 1.0, b2))
+        return 4.0 + 8.0 / (w - 2.0)
+    if 0.0 < b1 < _JOINT_MIN_RATIO * b2:
+        raise NumericError(f"character {tuple(a)} is too close to an axis for the joint transform")
+    sines = {b: _power_tail(w, b, "sin") for b in {b2 + b1, b2 - b1} if b > 0.0}
+    s_sum, s_diff = sines[b2 + b1], sines.get(b2 - b1, 0.0)
+    first = _power_tail(w - 1.0, b2, "cos") if b1 == 0.0 else (s_sum - s_diff) / (2.0 * b1)
+    return 4.0 * (_box(1.0, b1) * _box(1.0, b2) + first + (s_sum + s_diff) / (2.0 * b2))
 
 
 def _quad_max1d(w: float) -> float:

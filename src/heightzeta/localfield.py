@@ -552,7 +552,8 @@ def quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, 
     With ``weight`` "cos" or "sin" the integrand is f(t) cos(wvar t) or
     f(t) sin(wvar t), integrated by QAWO (QAWF when b is infinite).  The
     Fourier weights are inaccurate at wvar = 0, so callers integrate that
-    case without a weight."""
+    case without a weight.  With ``weight`` "alg" and ``wvar`` (alpha, beta)
+    the integrand is f(t) (t - a)^alpha (b - t)^beta, integrated by QAWS."""
     kwargs = dict(epsabs=epsabs, epsrel=epsrel, full_output=1)
     if weight is None:
         kwargs.update(points=points, limit=limit)

@@ -9,8 +9,10 @@ stop at residue depth ~ log_p|a|/2 instead of log_p|a|.
 
 Archimedean integrals are adaptive quadrature: the domain is split at
 eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
-turns the phase into a linear one handled by QAWO/QAWF.  At the complex
-place the test function is radial, so the angular integral is exact,
+turns the phase into a linear one handled by QAWO/QAWF.  On the stationary
+side [0, eps], for real s, QAWS takes x^{s-1} as an algebraic weight and
+integrates the endpoint singularity exactly.  At the complex place the
+test function is radial, so the angular integral is exact,
 int_0^{2 pi} e^{-iX cos(d theta + alpha)} dtheta = 2 pi J_0(X), and what
 remains is one radial integral against J_0(4 pi |a| r^d).
 """
@@ -232,16 +234,18 @@ def decay_kappa(d, s) -> float:
 def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
     """int_0^R r^{s-1} e^{-2 pi i A r^d} g(r) dr  with the stationary
     region [0, eps], eps^d |A| = 1, integrated directly and the oscillatory
-    remainder integrated after t = r^d."""
+    remainder integrated after t = r^d.  For real s the stationary piece
+    takes r^{s-1} as QUADPACK's algebraic weight.  For complex s the weight
+    would leave the oscillating r^{i Im s} in the integrand, where QAWS came
+    out up to 3e-7 off with an error estimate of 8e-10."""
     if R <= 0.0:
         return 0j, 0.0
     eps = R if A == 0.0 else min(R, abs(A) ** (-1.0 / d))
-    total, err = quad_complex(
-        lambda r: (r ** (s - 1.0)) * cmath.exp(-2j * math.pi * A * r**d) * g(r),
-        0.0,
-        eps,
-        epsrel=epsrel,
-    )
+    if s.imag == 0.0:
+        f, weight = (lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r)), dict(weight="alg", wvar=(s.real - 1.0, 0.0))
+    else:
+        f, weight = (lambda r: (r ** (s - 1.0)) * cmath.exp(-2j * math.pi * A * r**d) * g(r)), {}
+    total, err = quad_complex(f, 0.0, eps, epsrel=epsrel, **weight)
     if eps < R:
         f = lambda t: (1.0 / d) * (t ** (s / d - 1.0)) * g(t ** (1.0 / d))
         val, e2 = quad_oscillatory(f, eps**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)

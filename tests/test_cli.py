@@ -108,5 +108,16 @@ def test_error_exit_codes(tmp_path):
         ["osc", "--phi", "bump:1"],
         ["osc", "--place", "3", "--phi", "coset:1/0:2"],
         ["count", "--config", str(cfgfile)],
+        # a bump of radius <= 0, a coset wider than its support, d < 1 and
+        # an |a| that is not finite and positive
+        ["osc", "--phi", "bump:0:-1"],
+        ["osc", "--phi", "bump:0:0"],
+        ["osc", "--place", "complex", "--phi", "bump:0:-1"],
+        ["osc", "--place", "complex", "--phi", "bump:0:0"],
+        ["osc", "--place", "3", "--phi", "coset:1/9:-5"],
+        ["osc", "--d", "0"],
+        ["osc", "--d", "-2"],
+        ["osc", "--place", "real", "--a-grid", "nan,10,100"],
+        ["osc", "--place", "real", "--a-grid", "0,10,100"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 2, argv

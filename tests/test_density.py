@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from heightzeta.density import (
     theta_factored,
     zeta_S,
 )
-from heightzeta.errors import ConfigError, NonconvergentError, PoleError
+from heightzeta.errors import ConfigError, NonconvergentError, NumericError, PoleError
 from heightzeta.localfield import Place, padic, primes_upto, psi
 
 F = Fraction
@@ -156,6 +157,60 @@ def test_arch_joint_character_axis():
     tail = mpmath.quadosc(lambda y: mpmath.power(y, 1 - w) * mpmath.cos(2 * mpmath.pi * y), [1, mpmath.inf], period=1)
     ref = float(2 * w / (w - 1) * 2 * tail)
     assert abs(got - ref) < 1e-10
+
+
+def _power_tail_mp(w, b, kind: str):
+    """int_1^inf x^{-w} cos(bx) or sin(bx) dx from E_w(-+ib) = int_1^inf
+    x^{-w} e^{+-ibx} dx, at the working precision of mpmath."""
+    if b == 0:
+        return 1 / (w - 1) if kind == "cos" else mpmath.mpf(0)
+    e_plus, e_minus = mpmath.expint(w, -1j * b), mpmath.expint(w, 1j * b)
+    return (e_plus + e_minus) / 2 if kind == "cos" else (e_plus - e_minus) / 2j
+
+
+def _joint_max_mp(a1: float, a2: float, w) -> complex:
+    """4 int_0^inf int_0^inf max(1,x,y)^{-w} cos(b1 x) cos(b2 y) dx dy in
+    closed form: over the unit square, and where one coordinate is the
+    maximum the other integrates to sin(b t)/b."""
+    with mpmath.workdps(30):
+        w = mpmath.mpmathify(w)
+        b1, b2 = sorted(2 * mpmath.pi * abs(mpmath.mpf(t)) for t in (a1, a2))
+        if b2 == 0:
+            return complex(4 + 8 / (w - 2))
+        if b1 == 0:
+            return complex(4 * ((mpmath.sin(b2) + _power_tail_mp(w, b2, "sin")) / b2 + _power_tail_mp(w - 1, b2, "cos")))
+        s_sum, s_diff = _power_tail_mp(w, b2 + b1, "sin"), _power_tail_mp(w, b2 - b1, "sin")
+        box = mpmath.sin(b1) * mpmath.sin(b2) / (b1 * b2)
+        return complex(4 * (box + (s_sum - s_diff) / (2 * b1) + (s_sum + s_diff) / (2 * b2)))
+
+
+def test_arch_joint_max_vs_expint():
+    # E3 (lambda = 2) and E6 (lambda = 3); frequencies below 1 take the
+    # split path of the power tails, and a1 = a2 has a zero difference
+    grid = (0.0, 1e-3, 0.05, 0.5, 1.0, 2.0, 5.0)
+    for mid, lam, s0s in (("E3", 2, (3.0, 1.25 + 0.35j)), ("E6", 3, (2.0, 1.5 - 0.5j))):
+        m = get_model(mid)
+        for s0 in s0s:
+            for a in itertools.product(grid, repeat=2):
+                got = arch_density(m, a, s0)
+                ref = _joint_max_mp(*a, lam * s0)
+                assert abs(got - ref) <= 1e-10 * abs(ref), (mid, s0, a, got, ref)
+
+
+def test_arch_tiny_characters():
+    # QAWF by itself gives inf+nanj, 2.0 and 0.2806 here.  A power tail below
+    # frequency 1 is split, and a joint character with 0 < b1 < 1e-4 b2
+    # raises rather than lose digits in the divided difference
+    E1, E3 = get_model("E1"), get_model("E3")
+    for a in (1e-5, 1e-7):
+        b = 2 * math.pi * a
+        with mpmath.workdps(30):
+            ref = complex(2 * mpmath.sin(b) / b + 2 * _power_tail_mp(mpmath.mpf(6), b, "cos"))
+        got = arch_density(E1, a, 6.0)
+        assert abs(got - ref) <= 1e-10 * abs(ref), (a, got, ref)
+    for a in ((1e-5, 1.0), (1e-7, 1.0)):
+        with pytest.raises(NumericError):
+            arch_density(E3, a, 3.0)
 
 
 # ---------------------------------------------------------------------------

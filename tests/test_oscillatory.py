@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -192,6 +193,96 @@ def test_osc1d_real_zero_phase():
     got = osc_integral_1d(R, bump, 0.0, 1, s).value
     ref, _ = quad_complex(lambda x: abs(x) ** (s - 1) * bump(x), -1, 1, points=[0.0])
     assert abs(got - ref) < 1e-8
+
+
+def _bump_profile(x, c: float, rad: float):
+    u = (x - c) / rad
+    return np.where(np.abs(u) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
+
+
+def _halfline_rule(R: float, A: float, d: int, nodes: int):
+    """Gauss-Legendre nodes and weights on [eps, R]: panels that each hold
+    at most half a period of e^{-2 pi i A r^d}, the first of them cut into
+    60 geometric panels towards eps = 2^-60 times its width, where r^{s-1}
+    is smooth on each panel.  Returns (r, w, eps)."""
+    n = max(32, math.ceil(2.0 * abs(A) * R**d))
+    edges = R * (np.arange(1, n + 1) / n) ** (1.0 / d)
+    edges = np.concatenate([edges[0] * 2.0 ** -np.arange(60.0, 0.0, -1.0), edges])
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel(), ((hi - lo) / 2 * w).ravel(), edges[0]
+
+
+def _osc_real_reference(c: float, rad: float, a: float, d: int, s, nodes: int = 30) -> complex:
+    """int_R |x|^{s-1} e^{-2 pi i a x^d} phi(x) dx for the standard bump on
+    (c - rad, c + rad): the rule of ``_halfline_rule`` on each half-line,
+    and phi(0) eps^s / s for [0, eps] (the next term is below eps^{1+s})."""
+    s = complex(s)
+    parts = []
+    for sign, R in ((1.0, c + rad), (-1.0, rad - c)):
+        if R > 0.0:
+            r, w, eps = _halfline_rule(R, a * sign**d, d, nodes)
+            terms = w * r ** (s - 1.0) * np.exp(-2j * np.pi * a * (sign * r) ** d) * _bump_profile(sign * r, c, rad)
+            parts += [complex(math.fsum(terms.real), math.fsum(terms.imag)), _bump_profile(0.0, c, rad) * eps**s / s]
+    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+
+
+def test_osc_real_reference_rule():
+    # the in-test rule against mpmath's tanh-sinh rule.  At s = 0.3 that rule
+    # needs 60 digits: at 30 its nodes stop short of the r^{s-1} singularity
+    # and it is 1.4e-12 off
+    c, rad, a, d, s = 0.3, 1.5, 3.0, 2, 0.3
+
+    def f(x):
+        u = (x - c) / rad
+        if abs(u) >= 1:
+            return 0
+        return abs(x) ** (s - 1) * mpmath.expj(-2 * mpmath.pi * a * x**d) * mpmath.exp(1 - 1 / (1 - u * u))
+
+    with mpmath.workdps(60):
+        ref = complex(mpmath.quad(f, [c - rad, -1e-3, -1e-6, 0, 1e-6, 1e-3, c + rad]))
+    assert abs(_osc_real_reference(c, rad, a, d, s) - ref) < 1e-14 * abs(ref)
+    assert abs(_osc_real_reference(c, rad, a, d, s, nodes=20) - ref) < 1e-14 * abs(ref)
+
+
+def test_osc1d_real_vs_reference():
+    # nonzero phase on R, both half-lines; the complex-s value is computed
+    # without the algebraic weight and is held to its own error estimate
+    for c, rad in ((0.0, 1.0), (0.3, 1.5)):
+        bump = BumpFunction.standard(c, rad)
+        for s in (0.3, 0.75, 1.15, 0.75 + 0.5j):
+            for a in (0.0, 3.0, 100.0):
+                for d in (1, 2):
+                    got = osc_integral_1d(R, bump, a, d, s)
+                    ref = _osc_real_reference(c, rad, a, d, s)
+                    dev = abs(got.value - ref)
+                    assert got.error >= dev, (c, rad, s, a, d, got, ref)
+                    if complex(s).imag == 0.0:
+                        assert dev <= 1e-10 * abs(ref), (c, rad, s, a, d, got, ref)
+
+
+def test_osc_nd_real_vs_tensor_gauss():
+    # int int |x|^{s1-1} |y|^{s2-1} e^{-2 pi i a x y^2} phi(x) phi(y) dx dy by
+    # a tensor Gauss-Legendre rule; [-eps, eps] holds below eps^{1.13} = 1e-20
+    a, d, s = 10.13, (1, 2), (1.15, 1.13)
+
+    def axis(sj: float, nodes: int):
+        r, w, _ = _halfline_rule(1.0, a, 1, nodes)
+        r, w = np.concatenate([r, -r]), np.concatenate([w, w])
+        return r, w * np.abs(r) ** (sj - 1.0) * _bump_profile(r, 0.0, 1.0)
+
+    def tensor(nodes: int) -> complex:
+        x, wx = axis(s[0], nodes)
+        y, wy = axis(s[1], nodes)
+        rows = zip(np.array_split(x, 16), np.array_split(wx, 16))
+        return complex(sum(np.exp(-2j * np.pi * a * xc[:, None] * y**2) @ wy @ wc for xc, wc in rows))
+
+    ref = tensor(16)
+    assert abs(ref - tensor(12)) < 1e-13 * abs(ref)
+    got = osc_integral_nd(R, (BumpFunction.standard(),) * 2, a, d, s)
+    dev = abs(got.value - ref)
+    assert dev <= 1e-10 * abs(ref), (got, ref)
+    assert got.error >= dev
 
 
 def _radial_bump_reference(A: float, d: int, s: float, panels: int) -> tuple[float, float]:
