@@ -220,14 +220,12 @@ def _run_density(cfg: ExperimentConfig):
 def _run_theta(cfg: ExperimentConfig):
     model = get_model(cfg.model)
     S = places_from_spec(cfg.S)
-    res = density.theta_constant(model, S, prime_cutoff=cfg.prime_cutoff, threads=cfg.threads)
+    res = density.theta_constant(model, S, prime_cutoff=cfg.prime_cutoff)
     payload = {
         "model": model.id,
         "S": list(res.S),
         "theta": res.theta,
         "b": res.b,
-        "estimates": res.estimates,
-        "unstable": res.unstable,
         "euler_tail": res.euler_tail,
     }
     _write_json(cfg, f"theta_{model.id}.json", payload)

@@ -14,10 +14,13 @@ Two independent routes compute the local density at a finite place:
   stratum counts, so agreement with the formula is a genuine cross-check.
 
 The leading constant is the normalized pole coefficient
-lim (s-1)^b H^(0; s lambda) / (b-1)!  evaluated on an epsilon grid with
-Richardson extrapolation.  The Euler product over p outside S, regularized
-by zeta convergence factors, is one array evaluation of the stratum-count
-formula over the primes, multiplied left to right; ``threads`` has no effect.
+lim (s-1)^b H^(0; s lambda) / (b-1)!, read at s = 1: the zeta factors
+contribute their residues, the regularized Euler product its value at
+s = 1, and the local factors at the places of S times (s-1)^m the mean of
+that analytic function over a small circle about s = 1.  The Euler product
+over p outside S, regularized by zeta convergence factors, is one array
+evaluation of the stratum-count formula over the primes, multiplied left
+to right; ``threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ class ThetaResult:
     S: tuple
     theta: float
     b: int
-    estimates: list[float]
-    unstable: bool
     euler_tail: float
 
 
@@ -362,7 +363,10 @@ def _power_tail(w: complex, b: float, kind: str) -> complex:
     default.  It must not be tightened further, or QAWF runs out of cycles
     (at 1e-17 the cosine tail of t^{-1.1-2i} comes out 3e-3 off).  The head
     gets the absolute tolerance 1e-13 b, because the sine tail is O(b) and
-    the joint transform divides it by a frequency."""
+    the joint transform divides it by a frequency.  The integral diverges
+    for Re w <= 0, and NonconvergentError is raised there."""
+    if w.real <= 0.0:
+        raise NonconvergentError(f"the power tail of x^-({w}) diverges: Re w <= 0")
     X = max(1.0, _QAWF_MIN_FREQ / b)
     tail = quad_complex(lambda t: t ** (-w), 1.0, math.inf, weight=kind, wvar=b * X, epsrel=1e-11, epsabs=1e-13)[0]
     if X == 1.0:
@@ -518,42 +522,54 @@ def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: 
     return EulerProductValue(cutoff, partial, corrected * head, tail_estimate)
 
 
-def _extrapolate_to_zero(eps: Sequence[float], vals: Sequence[float], order: int = 2) -> tuple[float, float]:
-    eps = list(eps)
-    vals = list(vals)
-    if len(eps) < order + 1:
-        raise ValueError("need at least order+1 grid points")
-    main = float(np.polyfit(eps[-(order + 1) :], vals[-(order + 1) :], order)[-1])
-    alt = float(np.polyfit(eps[: order + 1], vals[: order + 1], order)[-1])
-    return main, abs(main - alt)
+def _tau_pass(model, S: Sequence[Place], cutoff: int) -> tuple[float, float]:
+    """tau_adelic over the primes up to the cutoff and up to half of it:
+    the restricted local densities at s = 1 times (1 - 1/p)^r, r = rank Pic,
+    multiplied over the primes off S, times the residue prod_{p in S}
+    (1 - 1/p) of each of the r zeta factors."""
+    r = ep_rank(model)
+    primes = _primes_off(S, cutoff)
+    loc = denef_density(model, primes, s_vector(model, 1.0), restrict=True).real
+    running = _running_product((1.0 - 1.0 / primes) ** r * loc)
+    residue = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite)
+    half = running[np.searchsorted(primes, cutoff // 2, side="right")]
+    return (residue**r) * float(running[-1]), (residue**r) * float(half)
 
 
-def theta_constant(
-    model,
-    S: Sequence[Place],
-    *,
-    prime_cutoff: int = 10_000,
-    eps_grid: Sequence[float] = (0.1, 0.05, 0.02, 0.01),
-    threads: int = 1,
-) -> ThetaResult:
-    """The leading constant: lim_{s->1+} (s-1)^b H^(0; s lambda) / (b-1)!
-    by Richardson extrapolation on the epsilon grid."""
+# (s-1)^m H_inf(s) prod_{p in S} H_p(s) is analytic in the disc of radius
+# 1/3 about s = 1: the nearest other singularity of any catalog factor is the
+# pole of the kept P^2 block, 12 s/(3 s - 2), at s = 2/3.  The trapezoid mean
+# over the circle |s - 1| = _CONTOUR_RADIUS is then its value at s = 1 to
+# about (0.03 / (1/3))^16 = 0.09^16, or 2e-17 relative.
+_CONTOUR_RADIUS = 0.03
+_CONTOUR_NODES = 16
+
+
+def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> ThetaResult:
+    """The leading constant lim_{s->1} (s-1)^b H^(0; s lambda) / (b-1)!,
+    read at s = 1 itself.  Split (s-1)^b H into the local factors at the
+    places of S times (s-1)^m, m = b - rank Pic, each kept zeta factor
+    (s-1) zeta_S(w_alpha(s)), and the regularized product over the primes
+    off S.  The last two are analytic at s = 1, with the values tau_adelic
+    (the residues prod_{p in S} (1 - 1/p) included) and 1/rho_alpha; the
+    first is analytic near s = 1, and its value there is its mean over a
+    circle about s = 1.  ``euler_tail`` is Theta times the relative change
+    of the product between half the prime cutoff and the cutoff."""
     b = exponent_b(model, S)
-    ests = []
-    tail = 0.0
-    for eps in eps_grid:
-        s0 = 1.0 + eps
-        val = complex(arch_density(model, 0, s0))
+    m = b - ep_rank(model)
+    mean = 0j
+    for k in range(_CONTOUR_NODES):
+        z = _CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / _CONTOUR_NODES)
+        val = z**m * arch_density(model, 0, 1.0 + z)
         for v in S:
             if v.is_finite:
-                val *= denef_density(model, v.prime, s_vector(model, s0), restrict=False)
-        ep = euler_product(model, s0, S, cutoff=prime_cutoff, threads=threads)
-        tail = max(tail, ep.tail_estimate)
-        val *= ep.corrected
-        ests.append((eps**b) * val.real / math.factorial(b - 1))
-    theta, spread = _extrapolate_to_zero(eps_grid, ests, order=2)
-    unstable = spread > 0.01 * abs(theta)
-    return ThetaResult(model.id, tuple(str(v) for v in S), theta, b, ests, unstable, tail)
+                val *= denef_density(model, v.prime, s_vector(model, 1.0 + z), restrict=False)
+        mean += val
+    tau, half = _tau_pass(model, S, prime_cutoff)
+    theta = tau * (mean.real / _CONTOUR_NODES) / math.factorial(b - 1)
+    for alpha in model.divisors.kept:
+        theta /= model.divisors.rho_of(alpha)
+    return ThetaResult(model.id, tuple(str(v) for v in S), theta, b, abs(theta * (1.0 - half / tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +609,7 @@ def tau_adelic(model, S: Sequence[Place], cutoff: int = 10_000) -> float:
     """Regularized volume of the integral adelic points off S with respect
     to the log-boundary-twisted measure; the Picard-rank many zeta factors
     are removed locally and restored through the residue of zeta_S."""
-    r = ep_rank(model)
-    primes = _primes_off(S, cutoff)
-    loc = denef_density(model, primes, s_vector(model, 1.0), restrict=True).real
-    prod = float(_running_product((1.0 - 1.0 / primes) ** r * loc)[-1])
-    residue = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite)
-    return (residue**r) * prod
+    return _tau_pass(model, S, cutoff)[0]
 
 
 def theta_factored(model, S: Sequence[Place], cutoff: int = 10_000) -> float:

@@ -49,7 +49,6 @@ CLASS_BUDGET = 4_000_000
 @dataclass
 class OscillatoryResult:
     value: complex
-    abs_bound_used: float
     exact: bool
     error: float | None = None  # quadrature/tail certificate when not exact
 
@@ -169,20 +168,6 @@ def _unit_shell_integral(
     return ps.value()
 
 
-def _plain_shell_integral(phi: StepFunction, v: int) -> complex:
-    """Exact  int_{Z_p^*} phi(p^v u) du  (no phase)."""
-    p = phi.p
-    lf = max(schwartz_level(phi) - v, 1)
-    pv = Fraction(p) ** v
-    ps = PhaseSum()
-    w = Fraction(1, p**lf)
-    for xi in range(1, p**lf):
-        if xi % p == 0:
-            continue
-        ps.add(Fraction(0), w, phi.value_at(pv * xi))
-    return ps.value()
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional oscillatory integrals
 
@@ -209,19 +194,7 @@ def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex, max_level: int) -> 
         # shells v >= K: psi trivial and phi constant; geometric tail
         parts.append(v0 * (1.0 - 1.0 / p) * cmath.exp(-K * s * lnp) / (1.0 - cmath.exp(-s * lnp)))
     value = complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
-    return OscillatoryResult(value, _envelope(Place.finite(p), a, d, s), exact=True)
-
-
-def _envelope(place: Place, a, d, s, n: int = 1) -> float:
-    sigma = complex(s).real if not isinstance(s, tuple) else min(complex(t).real for t in s)
-    kappa = decay_kappa(d, s)
-    if place.is_finite:
-        absa = float(padic(place.prime).abs(Fraction(a))) if a != 0 else 0.0
-        zf = abs(zeta_local(place, sigma))
-    else:
-        absa = abs(a) if place.kind == "real" else abs(complex(a)) ** 2
-        zf = abs(zeta_local(place, sigma))
-    return zf * min(1.0, absa ** (-kappa)) if absa > 0 else zf
+    return OscillatoryResult(value, exact=True)
 
 
 def decay_kappa(d, s) -> float:
@@ -267,7 +240,7 @@ def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> Osc
         v, e = _osc_halfline(lambda r: complex(phi(-r)), -lo, a * (-1.0) ** d, d, s, epsrel)
         parts += v
         err += e
-    return OscillatoryResult(parts, _envelope(Place.real(), a, d, s), exact=False, error=err)
+    return OscillatoryResult(parts, exact=False, error=err)
 
 
 def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex, epsrel: float) -> OscillatoryResult:
@@ -275,7 +248,7 @@ def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex, epsrel: float) -> Os
     # e^{-4 pi i |a| r^d cos(d theta + alpha)} is 2 pi J_0(4 pi |a| r^d)
     g = lambda r: 4.0 * math.pi * r ** (2.0 * s - 1.0) * phi.profile(r)
     val, err = radial_j0_integral(g, phi.radius, 4.0 * math.pi * abs(complex(a)), d, epsrel=epsrel)
-    return OscillatoryResult(val, _envelope(Place.complex_(), a, d, s), exact=False, error=err)
+    return OscillatoryResult(val, exact=False, error=err)
 
 
 def osc_integral_1d(
@@ -328,7 +301,9 @@ def _osc_finite_nd(phis, a, d, s, max_level: int) -> OscillatoryResult:
         )
 
     def shell_factor(j: int, v: int) -> complex:
-        return cmath.exp(-v * complex(s[j]) * lnp) * _plain_shell_integral(phis[j], v)
+        lf = max(levels[j] - v, 1)
+        U = _unit_shell_integral(p, Fraction(0), 1, lambda u: phis[j].value_at(p**v * u), lf, max_level)
+        return cmath.exp(-v * complex(s[j]) * lnp) * U
 
     total = 0j
     import itertools
@@ -367,7 +342,7 @@ def _osc_finite_nd(phis, a, d, s, max_level: int) -> OscillatoryResult:
             ps.add(ctx.frac_part(aprime * prod), w, val)
         scale = cmath.exp(-sum(cell[j] * complex(s[j]) for j in range(n)) * lnp)
         total += scale * ps.value()
-    return OscillatoryResult(total, _envelope(Place.finite(p), a, d, s, n), exact=True)
+    return OscillatoryResult(total, exact=True)
 
 
 def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
@@ -394,7 +369,7 @@ def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
         lo, hi = rest_phis[0].support
         pts = [0.0] if lo < 0.0 < hi else None
         val, err = quad_complex(lambda y: outer_integrand(y), lo, hi, points=pts, epsrel=max(epsrel, 1e-6), limit=200)
-        return OscillatoryResult(val, _envelope(Place.real(), a, d, s, n), exact=False, error=err)
+        return OscillatoryResult(val, exact=False, error=err)
     if n == 3:
         lo2, hi2 = rest_phis[1].support
 
@@ -406,7 +381,7 @@ def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
 
         pts = [0.0] if lo2 < 0.0 < hi2 else None
         val, err = quad_complex(middle, lo2, hi2, points=pts, epsrel=1e-5, limit=100)
-        return OscillatoryResult(val, _envelope(Place.real(), a, d, s, n), exact=False, error=err)
+        return OscillatoryResult(val, exact=False, error=err)
     raise ValueError("osc_integral_nd supports n <= 3")
 
 
@@ -457,9 +432,7 @@ def _inverse_finite(phi: StepFunction, a, d: int, s: complex, max_level: int) ->
         if t > tmin + 500:
             raise DepthOverflowError("inverse-phase shell recursion did not terminate")
     value = complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
-    kappa = 1.0 / d
-    absa = float(ctx.abs(a)) if a != 0 else 1.0
-    return OscillatoryResult(value, absa ** (-kappa), exact=True)
+    return OscillatoryResult(value, exact=True)
 
 
 def _smooth_step(t: float) -> float:
@@ -515,11 +488,9 @@ def _inverse_real(phi: BumpFunction, a, d: int, s: complex, tol: float, max_shel
             ratio = 2.0 ** (-(s.real + 1.0))
             tail = c_est * abs(a) ** (-1.0 / d) * ratio ** (n + 1) / (1.0 - ratio)
             if tail < max(tol * abs(partial), 1e-13):
-                return OscillatoryResult(
-                    partial, abs(a) ** (-1.0 / d), exact=False, error=tail + flagged_err
-                )
+                return OscillatoryResult(partial, exact=False, error=tail + flagged_err)
         n += 1
-    return OscillatoryResult(partial, abs(a) ** (-1.0 / d), exact=False, error=float("inf"))
+    return OscillatoryResult(partial, exact=False, error=float("inf"))
 
 
 def _inv_shell_integrand(t: float, sign: float, phi, scale: float, s: complex, d: int) -> complex:
