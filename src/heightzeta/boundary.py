@@ -1,6 +1,12 @@
 """Boundary-divisor combinatorics: divisor data, Clemens complexes,
 Picard ranks, the log-power exponent b, and pole orders for character
-strata of linear forms."""
+strata of linear forms.
+
+In the catalog every intersection of boundary components is a product of
+projective spaces, so it has points over every completion.  The Clemens
+complex at any place is therefore the full simplex on the removed labels,
+and the boundary data are read off the removed set with no search over
+faces or places."""
 
 from __future__ import annotations
 
@@ -87,17 +93,13 @@ class CharacterStratum:
 
 
 def clemens_complex(model, place: Place, restrict_to_removed: bool = True) -> ClemensComplex:
-    """The complex of boundary strata with rational points over F_v,
-    restricted (by default) to the removed components."""
-    pool = model.divisors.removed if restrict_to_removed else set(model.divisors.labels)
-    faces = [
-        A
-        for A in model.incidence_faces()
-        if A <= pool and model.has_rational_points(A, place)
-    ]
-    maximal = tuple(A for A in faces if not any(A < B for B in faces))
-    vertices = tuple(sorted(a for a in pool if any(a in M for M in maximal)))
-    return ClemensComplex(place, vertices, maximal)
+    """The complex of boundary strata with points over the completion at
+    ``place``: the full simplex on the removed labels (on all labels
+    without ``restrict_to_removed``), empty when there are none.  Every
+    catalog stratum is a product of projective spaces and has points over
+    every completion, so the complex is the same at every place."""
+    pool = model.divisors.removed if restrict_to_removed else frozenset(model.divisors.labels)
+    return ClemensComplex(place, tuple(sorted(pool)), (pool,) if pool else ())
 
 
 def ep_rank(model) -> int:
@@ -112,8 +114,7 @@ def exponent_b(model, S: Sequence[Place]) -> int:
     _check_S(S)
     b = ep_rank(model)
     for v in S:
-        dim = clemens_complex(model, v, True).dimension
-        b += (1 + dim) if dim >= 0 else 0
+        b += 1 + clemens_complex(model, v, True).dimension
     return b
 
 
@@ -122,32 +123,22 @@ def _check_S(S: Sequence[Place]):
         raise ValueError("S must contain the real place")
 
 
-def _max_zero_count(model, v: Place, dcoef: dict | None) -> int:
-    """max over faces B of the removed-components complex of
-    #{alpha in B : d_alpha = 0}; 0 when there is no removed component."""
-    cc = clemens_complex(model, v, True)
-    best = 0
-    for B in cc.faces():
-        if dcoef is None:
-            best = max(best, len(B))
-        else:
-            best = max(best, sum(1 for alpha in B if dcoef[alpha] == 0))
-    return best
-
-
 def pole_orders(model, S: Sequence[Place], a) -> tuple[int, int]:
     """(b_0, b_a): the pole order of the trivial-character term and the
-    order bound for the subseries of characters collinear to a.  For
-    nonzero a the strict inequality b_a < b_0 is checked."""
+    order bound for the subseries of characters collinear to a.  A kept
+    label counts once and a removed label once per place of S (the Clemens
+    complex is the simplex on the removed labels); b_a counts only the
+    labels along which <a, .> has no pole.  For nonzero a the strict
+    inequality b_a < b_0 is checked."""
     _check_S(S)
-    b0 = len(model.divisors.kept) + sum(_max_zero_count(model, v, None) for v in S)
+    weight = {alpha: len(S) if alpha in model.divisors.removed else 1 for alpha in model.divisors.labels}
+    b0 = sum(weight.values())
     if a is None or (isinstance(a, (int, Fraction)) and a == 0) or (
         isinstance(a, (tuple, list)) and all(t == 0 for t in a)
     ):
         return b0, b0
     d = divisor_coefficients(model, a)
-    ba = sum(1 for alpha in model.divisors.kept if d[alpha] == 0)
-    ba += sum(_max_zero_count(model, v, d) for v in S)
+    ba = sum(w for alpha, w in weight.items() if d[alpha] == 0)
     if ba >= b0:
         raise AssertionError(f"pole-order domination failed: b_a={ba} >= b_0={b0}")
     return b0, ba

@@ -130,11 +130,6 @@ class CompactificationModel:
         labels = self.divisors.labels
         return [frozenset(c) for r in range(1, len(labels) + 1) for c in combinations(labels, r)]
 
-    def has_rational_points(self, A: frozenset, place: Place) -> bool:
-        # every stratum is a product of projective spaces, with rational
-        # points over every completion
-        return set(A) <= set(self.norm_coords)
-
     def stratum_counts(self, q, A):
         """#D_A^0(F_q) for the locally closed stratum indexed by A: per
         factor P^k, the (q^k - 1)/(q - 1) points at infinity for a label in
@@ -169,20 +164,6 @@ class CompactificationModel:
         else:
             label = ",".join(f"a{j}{'!=' if d else '='}0" for j, d in enumerate(pattern.values(), 1))
         return CharacterStratum(label, pattern, tuple(rep), lambda a: self.coefficient_pattern(a) == pattern)
-
-    # -- boundary residue charts (for the boundary term of the constant) --
-
-    def boundary_charts(self):
-        """Maximal faces of the removed-components complex together with
-        the residual chart density exponent: ``None`` for a point stratum,
-        an integer e for a line stratum with density max(1,|w|)^{-e}.  In
-        the catalog the removed components meet in one stratum: a point
-        when there are dim of them, else a P^1, whose residue density is
-        max(1,|w|)^{-2} by adjunction."""
-        removed = self.divisors.removed
-        if not removed:
-            raise ConfigError(f"{self.id} removes nothing; no boundary measure")
-        return [(removed, None if len(removed) == self.dim else 2)]
 
     def describe(self) -> dict:
         div = self.divisors

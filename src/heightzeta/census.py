@@ -468,7 +468,7 @@ def standard_regions(model_id: str) -> list[Region]:
     raise ConfigError(f"no standard regions for {model_id}")
 
 
-def equidistribution_test(model, S, B, regions: list[Region] | None = None, threads: int = 1):
+def equidistribution_test(model, S, B, threads: int = 1):
     """Empirical fractions of points of height <= B in each region versus
     the limit-measure prediction (the catalog limit measures are invariant
     under the coordinate sign flips and, for E5, the coordinate swap, so
@@ -478,11 +478,9 @@ def equidistribution_test(model, S, B, regions: list[Region] | None = None, thre
     primes = _sf_primes(S)
     if primes:
         raise ConfigError("equidistribution counting is provided for S = {real place}")
-    if regions is None:
-        regions = standard_regions(model.id)
     N = enumerate_points(model, S, B, threads)
     rows = []
-    for reg in regions:
+    for reg in standard_regions(model.id):
         cnt = _region_count(model.id, B, reg)
         rows.append({"region": reg.label, "empirical": cnt / N, "predicted": reg.predicted, "count": cnt})
     return rows

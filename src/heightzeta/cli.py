@@ -56,6 +56,10 @@ class ExperimentConfig:
             raise ConfigError(f"B must be finite: {', '.join(map(str, Bs))}")
         if any(B < 1 for B in Bs):
             raise ConfigError("B must be >= 1")
+        if not math.isfinite(self.s):
+            raise ConfigError(f"s must be finite: {self.s}")
+        if self.b is not None and self.b < 1:
+            raise ConfigError(f"b must be >= 1: {self.b}")
         if self.prime_cutoff < 0:
             raise ConfigError("prime cutoff must be >= 0")
         if self.A < 0:

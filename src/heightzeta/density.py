@@ -37,8 +37,8 @@ from scipy.special import zeta as _riemann_zeta
 
 from .boundary import divisor_coefficients, ep_rank, exponent_b
 from .catalog import CompactificationModel
-from .errors import NonconvergentError, NumericError, PoleError
-from .localfield import Place, padic, primes_upto, quad_complex, residue_c
+from .errors import ConfigError, NonconvergentError, NumericError, PoleError
+from .localfield import Place, is_prime, padic, primes_upto, quad_complex, residue_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,6 +89,7 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
     smap = _s_map(model, s)
     q = np.asarray(p, dtype=np.int64)
     lnq = np.log(q)
+    qdim = q.astype(float) ** model.dim
     total = np.zeros(q.shape, dtype=complex)
     for A in [frozenset()] + model.incidence_faces():
         if restrict and A & model.divisors.removed:
@@ -96,7 +97,8 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
         cnt = model.stratum_counts(q, A)
         if not np.any(cnt):
             continue
-        term = np.broadcast_to(cnt, q.shape).astype(complex)
+        # scaled in float before it turns complex: a count of q^dim gives exactly 1
+        term = (np.broadcast_to(cnt, q.shape) / qdim).astype(complex)
         for alpha in A:
             w = smap[alpha] - model.divisors.rho_of(alpha) + 1
             denom = np.exp(w * lnq) - 1.0
@@ -105,7 +107,6 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
                 raise PoleError(f"local density pole at p={q[pole][0]}, alpha={alpha}")
             term *= (q - 1) / denom
         total += term
-    total *= 1.0 / q.astype(float) ** model.dim  # 1 / exact q^dim rounds like scalar q ** -dim
     return complex(total) if total.ndim == 0 else total
 
 
@@ -554,7 +555,13 @@ def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> 
     (the residues prod_{p in S} (1 - 1/p) included) and 1/rho_alpha; the
     first is analytic near s = 1, and its value there is its mean over a
     circle about s = 1.  ``euler_tail`` is Theta times the relative change
-    of the product between half the prime cutoff and the cutoff."""
+    of the product between half the prime cutoff and the cutoff.  A cutoff
+    below the smallest prime off S, which leaves the product empty, raises
+    ConfigError."""
+    in_S = {v.prime for v in S}
+    first = next(p for p in itertools.count(2) if is_prime(p) and p not in in_S)
+    if prime_cutoff < first:
+        raise ConfigError(f"prime cutoff {prime_cutoff} is below {first}, the smallest prime off S")
     b = exponent_b(model, S)
     m = b - ep_rank(model)
     mean = 0j
@@ -585,24 +592,23 @@ def _line_mass(place: Place, e: int) -> float:
 
 
 def tau_max_boundary(model, place: Place) -> float:
-    """Mass of the boundary residue measure at a place of S: the sum over
-    maximal faces A of prod_{alpha in A} c_v u_v / (rho_alpha - 1) times
-    the stratum integral (a point mass, or a chart line integral of the
-    residual density).  u_v is the unit-sphere volume correction, 1 at the
-    real place and (1 - 1/q) at a finite place."""
+    """Mass of the boundary residue measure at a place of S: the product
+    of c_v u_v / (rho_alpha - 1) over the removed labels alpha, times the
+    integral of the residual density max(1,|w|)^{-2} over the P^1 stratum
+    where the removed components meet in a line (fewer of them than dim),
+    or times 1 where they meet in a point.  u_v is the unit-sphere volume
+    correction, 1 at the real place and (1 - 1/q) at a finite place."""
+    removed = model.divisors.removed
+    if not removed:
+        raise ConfigError(f"{model.id} removes nothing; no boundary measure")
     cv = residue_c(place)
     uv = 1.0 if place.is_archimedean else 1.0 - 1.0 / place.prime
-    total = 0.0
-    for face, density_exp in model.boundary_charts():
-        if not model.has_rational_points(face, place):
-            continue
-        w = 1.0
-        for alpha in face:
-            w *= cv * uv / (model.divisors.rho_of(alpha) - 1)
-        if density_exp is not None:
-            w *= _line_mass(place, density_exp)
-        total += w
-    return total
+    mass = 1.0
+    for alpha in removed:
+        mass *= cv * uv / (model.divisors.rho_of(alpha) - 1)
+    if len(removed) < model.dim:
+        mass *= _line_mass(place, 2)
+    return mass
 
 
 def tau_adelic(model, S: Sequence[Place], cutoff: int = 10_000) -> float:

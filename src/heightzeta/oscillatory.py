@@ -44,6 +44,8 @@ from .localfield import (
 
 DEFAULT_MAX_LEVEL = 12  # residue refinement ceiling: at most ~p^12 classes
 CLASS_BUDGET = 4_000_000
+_EPSREL_1D = 1e-9  # relative tolerance of the 1-d archimedean quadratures
+_MAX_SHELLS = 200  # dyadic shells of the real inverse-phase series
 
 
 @dataclass
@@ -102,7 +104,6 @@ def coset_phase_integral(
     d: int,
     *,
     depth: int | None = None,
-    max_abs_exp: int = DEFAULT_MAX_LEVEL,
 ) -> complex:
     """Exact  int_{xi + p^n Z_p} psi(a x^d) dx  for a unit xi, by direct
     enumeration of residue classes at a depth where the phase is constant.
@@ -119,9 +120,9 @@ def coset_phase_integral(
     if xi == 0 or ctx.valuation(xi) != 0:
         raise ValueError("xi must be a p-adic unit")
     m = max(0, -ctx.valuation(a)) if a != 0 else 0
-    if m > max_abs_exp:
+    if m > DEFAULT_MAX_LEVEL:
         raise DepthOverflowError(
-            f"|a|_p = {p}^{m} exceeds the depth ceiling {p}^{max_abs_exp}"
+            f"|a|_p = {p}^{m} exceeds the depth ceiling {p}^{DEFAULT_MAX_LEVEL}"
         )
     M = max(n, m, depth or 0)
     if p ** (M - n) > CLASS_BUDGET:
@@ -141,7 +142,6 @@ def _unit_shell_integral(
     d: int,
     value_of: Callable[[Fraction], complex],
     lf: int,
-    max_level: int,
 ) -> complex:
     """Exact  int_{Z_p^*} psi(a' u^d) g(u) du  for g locally constant at
     level lf.  Uses the coset vanishing lemma at depth
@@ -154,9 +154,9 @@ def _unit_shell_integral(
     nstar = max(lf, (m + 1) // 2, 1)
     if m > nstar + c:
         return 0j
-    if nstar > max_level or p**nstar > CLASS_BUDGET:
+    if nstar > DEFAULT_MAX_LEVEL or p**nstar > CLASS_BUDGET:
         raise DepthOverflowError(
-            f"unit-shell sum needs depth {nstar} > ceiling {max_level} at p={p}"
+            f"unit-shell sum needs depth {nstar} > ceiling {DEFAULT_MAX_LEVEL} at p={p}"
         )
     ps = PhaseSum()
     w = Fraction(1, p**nstar)
@@ -172,7 +172,7 @@ def _unit_shell_integral(
 # one-dimensional oscillatory integrals
 
 
-def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex, max_level: int) -> OscillatoryResult:
+def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex) -> OscillatoryResult:
     p = phi.p
     ctx = padic(p)
     a = Fraction(a)
@@ -186,7 +186,7 @@ def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex, max_level: int) -> 
         aprime = a * Fraction(p) ** (v * d)
         lf = max(m_phi - v, 1)
         pv = Fraction(p) ** v
-        U = _unit_shell_integral(p, aprime, d, lambda u: phi.value_at(pv * u), lf, max_level)
+        U = _unit_shell_integral(p, aprime, d, lambda u: phi.value_at(pv * u), lf)
         if U != 0:
             parts.append(cmath.exp(-v * s * lnp) * U)
     v0 = phi.value_at(0)
@@ -243,24 +243,15 @@ def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> Osc
     return OscillatoryResult(parts, exact=False, error=err)
 
 
-def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex, epsrel: float) -> OscillatoryResult:
+def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex) -> OscillatoryResult:
     # dz = 2 dA and |z|_C = r^2; the angular integral of
     # e^{-4 pi i |a| r^d cos(d theta + alpha)} is 2 pi J_0(4 pi |a| r^d)
     g = lambda r: 4.0 * math.pi * r ** (2.0 * s - 1.0) * phi.profile(r)
-    val, err = radial_j0_integral(g, phi.radius, 4.0 * math.pi * abs(complex(a)), d, epsrel=epsrel)
+    val, err = radial_j0_integral(g, phi.radius, 4.0 * math.pi * abs(complex(a)), d, epsrel=_EPSREL_1D)
     return OscillatoryResult(val, exact=False, error=err)
 
 
-def osc_integral_1d(
-    place: Place,
-    phi,
-    a,
-    d: int,
-    s,
-    *,
-    epsrel: float = 1e-9,
-    max_level: int = DEFAULT_MAX_LEVEL,
-) -> OscillatoryResult:
+def osc_integral_1d(place: Place, phi, a, d: int, s) -> OscillatoryResult:
     """int_F |x|^{s-1} psi(a x^d) Phi(x) dx, exact at finite places."""
     s = complex(s)
     if s.real <= 0:
@@ -268,17 +259,17 @@ def osc_integral_1d(
     if d < 1:
         raise ValueError("d must be a positive integer")
     if place.is_finite:
-        return _osc_finite_1d(phi, a, d, s, max_level)
+        return _osc_finite_1d(phi, a, d, s)
     if place.kind == "real":
-        return _osc_real_1d(phi, a, d, s, epsrel)
-    return _osc_complex_1d(phi, a, d, s, epsrel)
+        return _osc_real_1d(phi, a, d, s, _EPSREL_1D)
+    return _osc_complex_1d(phi, a, d, s)
 
 
 # ---------------------------------------------------------------------------
 # n-dimensional oscillatory integrals (n <= 3, product test functions)
 
 
-def _osc_finite_nd(phis, a, d, s, max_level: int) -> OscillatoryResult:
+def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
     p = phis[0].p
     if any(phi.p != p for phi in phis):
         raise ValueError("all factors must live at the same prime")
@@ -302,7 +293,7 @@ def _osc_finite_nd(phis, a, d, s, max_level: int) -> OscillatoryResult:
 
     def shell_factor(j: int, v: int) -> complex:
         lf = max(levels[j] - v, 1)
-        U = _unit_shell_integral(p, Fraction(0), 1, lambda u: phis[j].value_at(p**v * u), lf, max_level)
+        U = _unit_shell_integral(p, Fraction(0), 1, lambda u: phis[j].value_at(p**v * u), lf)
         return cmath.exp(-v * complex(s[j]) * lnp) * U
 
     total = 0j
@@ -325,7 +316,7 @@ def _osc_finite_nd(phis, a, d, s, max_level: int) -> OscillatoryResult:
         lfs = [max(levels[j] - cell[j], 1) for j in range(n)]
         M = max([mprime] + lfs + [1])
         units = [u for u in range(1, p**M) if u % p != 0]
-        if len(units) ** n > CLASS_BUDGET or M > max_level:
+        if len(units) ** n > CLASS_BUDGET or M > DEFAULT_MAX_LEVEL:
             raise DepthOverflowError("joint unit block exceeds the class budget")
         ps = PhaseSum()
         w = Fraction(1, p ** (n * M))
@@ -345,11 +336,12 @@ def _osc_finite_nd(phis, a, d, s, max_level: int) -> OscillatoryResult:
     return OscillatoryResult(total, exact=True)
 
 
-def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
-    """Iterated quadrature: innermost coordinate via the 1-d machinery."""
+def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
+    """Iterated quadrature: innermost coordinate via the 1-d machinery, at
+    relative tolerance 1e-8 alone and 1e-7 under an outer integral."""
     n = len(phis)
     if n == 1:
-        return _osc_real_1d(phis[0], a, d[0], complex(s[0]), epsrel)
+        return _osc_real_1d(phis[0], a, d[0], complex(s[0]), 1e-8)
 
     inner_d, inner_s = d[0], complex(s[0])
     rest_phis, rest_d, rest_s = phis[1:], d[1:], s[1:]
@@ -359,7 +351,7 @@ def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
         aa = float(a)
         for x, dd in zip(coords, rest_d):
             aa *= x**dd
-        inner = _osc_real_1d(phis[0], aa, inner_d, inner_s, max(epsrel, 1e-7))
+        inner = _osc_real_1d(phis[0], aa, inner_d, inner_s, 1e-7)
         w = inner.value
         for x, phi_j, s_j in zip(coords, rest_phis, rest_s):
             w *= (abs(x) ** (complex(s_j) - 1.0)) * phi_j(x)
@@ -368,7 +360,7 @@ def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
     if n == 2:
         lo, hi = rest_phis[0].support
         pts = [0.0] if lo < 0.0 < hi else None
-        val, err = quad_complex(lambda y: outer_integrand(y), lo, hi, points=pts, epsrel=max(epsrel, 1e-6), limit=200)
+        val, err = quad_complex(lambda y: outer_integrand(y), lo, hi, points=pts, epsrel=1e-6, limit=200)
         return OscillatoryResult(val, exact=False, error=err)
     if n == 3:
         lo2, hi2 = rest_phis[1].support
@@ -385,7 +377,7 @@ def _osc_arch_nd(phis, a, d, s, epsrel) -> OscillatoryResult:
     raise ValueError("osc_integral_nd supports n <= 3")
 
 
-def osc_integral_nd(place: Place, phis: Sequence, a, d: Sequence[int], s: Sequence, **kw) -> OscillatoryResult:
+def osc_integral_nd(place: Place, phis: Sequence, a, d: Sequence[int], s: Sequence) -> OscillatoryResult:
     """int prod |x_j|^{s_j - 1} psi(a x_1^{d_1} ... x_n^{d_n}) Phi(x) dx
     for a product test function Phi = prod phi_j, n <= 3."""
     phis = tuple(phis)
@@ -396,9 +388,9 @@ def osc_integral_nd(place: Place, phis: Sequence, a, d: Sequence[int], s: Sequen
     if any(t.real <= 0 for t in s):
         raise NonconvergentError("osc_integral_nd requires Re(s_j) > 0")
     if place.is_finite:
-        return _osc_finite_nd(phis, a, d, s, kw.get("max_level", DEFAULT_MAX_LEVEL))
+        return _osc_finite_nd(phis, a, d, s)
     if place.kind == "real":
-        return _osc_arch_nd(phis, a, d, s, kw.get("epsrel", 1e-8))
+        return _osc_arch_nd(phis, a, d, s)
     raise ValueError("n-dimensional complex-place integrals are not provided")
 
 
@@ -406,7 +398,7 @@ def osc_integral_nd(place: Place, phis: Sequence, a, d: Sequence[int], s: Sequen
 # inverse phase:  eta_a(s) = int |x|^{s-1} psi(a / x^d) Phi(x) dx
 
 
-def _inverse_finite(phi: StepFunction, a, d: int, s: complex, max_level: int) -> OscillatoryResult:
+def _inverse_finite(phi: StepFunction, a, d: int, s: complex) -> OscillatoryResult:
     p = phi.p
     ctx = padic(p)
     a = Fraction(a)
@@ -423,9 +415,7 @@ def _inverse_finite(phi: StepFunction, a, d: int, s: complex, max_level: int) ->
         if mpp >= max(lf + c + 1, 2 * (c + 1)):
             break  # this and all deeper shells vanish by the unit lemma
         pt = Fraction(p) ** t
-        U = _unit_shell_integral(
-            p, adoubleprime, d, lambda w: phi.value_at(pt / w), lf, max_level
-        )
+        U = _unit_shell_integral(p, adoubleprime, d, lambda w: phi.value_at(pt / w), lf)
         if U != 0:
             parts.append(cmath.exp(-t * s * lnp) * U)
         t += 1
@@ -456,7 +446,7 @@ def dyadic_partition_bump(r: float) -> float:
     return _chi_cutoff(r) - _chi_cutoff(2.0 * r)
 
 
-def _inverse_real(phi: BumpFunction, a, d: int, s: complex, tol: float, max_shells: int) -> OscillatoryResult:
+def _inverse_real(phi: BumpFunction, a, d: int, s: complex, tol: float) -> OscillatoryResult:
     a = float(a)
     lo, hi = phi.support
     R = max(abs(lo), abs(hi))
@@ -465,7 +455,7 @@ def _inverse_real(phi: BumpFunction, a, d: int, s: complex, tol: float, max_shel
     shell_mags = []
     n = n_start
     flagged_err = 0.0
-    while n < n_start + max_shells:
+    while n < n_start + _MAX_SHELLS:
         scale = 2.0 ** (-n)
         omega = 2.0 * math.pi * a * (2.0 ** (d * n))
         # u > 0 piece and u < 0 piece (x = 1/u)
@@ -500,7 +490,7 @@ def _inv_shell_integrand(t: float, sign: float, phi, scale: float, s: complex, d
     return u ** (-s - 1.0) * phi(scale / (sign * u)) * dyadic_partition_bump(u) * du
 
 
-def inverse_phase_integral(place: Place, phi, a, d: int, s, *, tol: float = 1e-9, max_shells: int = 200, max_level: int = DEFAULT_MAX_LEVEL) -> OscillatoryResult:
+def inverse_phase_integral(place: Place, phi, a, d: int, s, *, tol: float = 1e-9) -> OscillatoryResult:
     """eta_a(s) = int |x|^{s-1} psi(a / x^d) Phi(x) dx, computed as the
     shell series sum_n q^{-ns} eta_{a,n}(s); exact (finitely many shells)
     at finite places, truncated with a geometric tail certificate on R.
@@ -511,9 +501,9 @@ def inverse_phase_integral(place: Place, phi, a, d: int, s, *, tol: float = 1e-9
     if s.real <= -1.0:
         raise NonconvergentError("inverse_phase_integral requires Re(s) > -1")
     if place.is_finite:
-        return _inverse_finite(phi, a, d, s, max_level)
+        return _inverse_finite(phi, a, d, s)
     if place.kind == "real":
-        return _inverse_real(phi, a, d, s, tol, max_shells)
+        return _inverse_real(phi, a, d, s, tol)
     raise ValueError("complex-place inverse-phase integrals are not provided")
 
 
@@ -535,7 +525,7 @@ def fit_decay_exponent(abs_values, mags) -> float:
     return -float(slope)
 
 
-def decay_report(place: Place, phi, d, s, abs_values, **kw) -> DecayReport:
+def decay_report(place: Place, phi, d, s, abs_values) -> DecayReport:
     """Evaluate the oscillatory integral on a grid of |a| and compare with
     the envelope zeta_F(Re s) min(1, |a|^{-kappa})."""
     nd = isinstance(d, (tuple, list))
@@ -552,9 +542,9 @@ def decay_report(place: Place, phi, d, s, abs_values, **kw) -> DecayReport:
             a = float(A)
             avals.append(float(A))
         if nd:
-            r = osc_integral_nd(place, phi, a, d, s, **kw)
+            r = osc_integral_nd(place, phi, a, d, s)
         else:
-            r = osc_integral_1d(place, phi, a, d, s, **kw)
+            r = osc_integral_1d(place, phi, a, d, s)
         values.append(r.value)
     mags = [abs(v) for v in values]
     zf = abs(zeta_local(place, sigma))

@@ -148,3 +148,54 @@ def test_character_strata_partition():
             hits = [st for st in strata if st.contains(a)]
             assert len(hits) == 1
             assert hits[0].pattern == divisor_coefficients(m, a)
+
+
+# (b_0, b_a) per character stratum, in the order of character_strata, by the
+# number of finite places in S
+_PARENT_POLE_ORDERS = {
+    "E1": [[(k, 0)] for k in (1, 2, 3, 4, 5)],
+    "E2": [[(1, 0)]] * 5,
+    "E3": [[(k, 0)] for k in (1, 2, 3, 4, 5)],
+    "E4": [[(k, 0), (k, k - 1), (k, 1)] for k in (2, 3, 4, 5, 6)],
+    "E5": [[(2 * k, 0), (2 * k, k), (2 * k, k)] for k in (1, 2, 3, 4, 5)],
+    "E6": [[(1, 0)]] * 5,
+}
+_XY = [["Dx"], ["Dy"], ["Dx", "Dy"]]
+# faces of the Clemens complex with restrict_to_removed True and False, the
+# same at every place
+_PARENT_CLEMENS = {
+    "E1": ([["inf"]], [["inf"]]),
+    "E2": ([], [["inf"]]),
+    "E3": ([["H"]], [["H"]]),
+    "E4": ([["Dy"]], _XY),
+    "E5": (_XY, _XY),
+    "E6": ([], [["H"]]),
+}
+# tau_max_boundary at R, Q_2, Q_3, Q_5, Q_7
+_PARENT_TAU_MAX = {
+    "E1": [2.0, 0.7213475204444817, 0.6068261510845583, 0.4970679476476895, 0.4404842934597864],
+    "E3": [4.0, 0.5410106403333612, 0.4045507673897054, 0.2982407685886137, 0.25170531054844936],
+    "E4": [8.0, 1.0820212806667224, 0.8091015347794108, 0.5964815371772274, 0.5034106210968987],
+    "E5": [4.0, 0.5203422452514019, 0.36823797764009913, 0.24707654457868622, 0.19402641278476723],
+}
+
+
+def test_boundary_pinned_to_parent():
+    from heightzeta.density import tau_max_boundary
+
+    places = [R] + [Place.finite(p) for p in (2, 3, 5, 7)]
+    assert sorted(MODELS) == sorted(_PARENT_POLE_ORDERS)
+    for mid, m in MODELS.items():
+        for r in range(5):
+            for T in itertools.combinations((2, 3, 5, 7), r):
+                S = [R] + [Place.finite(p) for p in T]
+                got = [pole_orders(m, S, st.representative) for st in character_strata(m)]
+                assert got == _PARENT_POLE_ORDERS[mid][r], (mid, T)
+                assert exponent_b(m, S) == got[0][0], (mid, T)
+        for v in places:
+            for flag, want in zip((True, False), _PARENT_CLEMENS[mid]):
+                cc = clemens_complex(m, v, flag)
+                assert [sorted(A) for A in cc.faces()] == want, (mid, str(v), flag)
+                assert cc.dimension == max(map(len, want), default=0) - 1
+        if mid in _PARENT_TAU_MAX:
+            assert [tau_max_boundary(m, v) for v in places] == _PARENT_TAU_MAX[mid], mid

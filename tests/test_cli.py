@@ -119,5 +119,14 @@ def test_error_exit_codes(tmp_path):
         ["osc", "--d", "-2"],
         ["osc", "--place", "real", "--a-grid", "nan,10,100"],
         ["osc", "--place", "real", "--a-grid", "0,10,100"],
+        # an s that is not finite, a log power b below 1, and a prime cutoff
+        # that leaves the Euler product empty
+        ["osc", "--place", "real", "--s", "nan"],
+        ["zeta-local", "--place", "real", "--s", "inf"],
+        ["poisson", "--model", "E2", "--s", "nan"],
+        ["fit", "--model", "E1", "--S", "inf", "--B-grid", "10,20,30,40,50", "--b", "0"],
+        ["theta", "--model", "E4", "--prime-cutoff", "1"],
+        ["theta", "--model", "E6", "--prime-cutoff", "0"],
+        ["theta", "--model", "E4", "--S", "inf,2,3", "--prime-cutoff", "3"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 2, argv

@@ -388,6 +388,9 @@ def test_theta_closed_forms():
             r = theta_constant(get_model(mid), [R] + [Place.finite(p) for p in primes])
             assert r.b == b
             assert abs(r.theta - want) <= 1e-12 * want, (mid, primes, r.theta, want)
+            # each Euler factor is exactly 1, so a longer product adds no rounding
+            r = theta_constant(get_model(mid), [R] + [Place.finite(p) for p in primes], prime_cutoff=100_000)
+            assert abs(r.theta - want) <= 1e-14 * want, (mid, primes, r.theta, want)
     want = 4.0 / float(mpmath.zeta(3))
     r = theta_constant(get_model("E6"), [R], prime_cutoff=10_000)
     assert abs(r.theta - want) <= 1e-8 * want, (r.theta, want)
