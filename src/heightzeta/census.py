@@ -352,7 +352,8 @@ def count_table(model, S, Bs, threads: int = 1, with_volume: bool = True) -> Cou
 
 def fit_asymptotic(table: CountTable, b: int) -> AsymptoticFit:
     """Least squares for N(B)/B against (log B)^{b-1}, (log B)^{b-2}
-    (b >= 2), or the plain mean over the top half of the grid (b = 1)."""
+    (b >= 2), or the plain mean over the top half of the grid (b = 1).
+    Raises NumericError when the b >= 2 fit does not follow the data."""
     Bs = np.array(table.Bs(), dtype=float)
     Ns = np.array(table.Ns(), dtype=float)
     if len(Bs) < 5:
@@ -371,6 +372,10 @@ def fit_asymptotic(table: CountTable, b: int) -> AsymptoticFit:
     fitted = X @ coef
     resid = y - fitted
     rms = float(np.sqrt(np.mean((resid / np.maximum(np.abs(fitted), 1e-12)) ** 2)))
+    if rms > float(np.sqrt(np.mean(y**2))):
+        # the residual is relative to the fitted curve: above the data's own
+        # rms, that curve runs near zero on the grid and describes nothing
+        raise NumericError(f"the b = {b} fit does not follow the data (residual rms {rms:.3g})")
     dof = max(1, len(y) - 2)
     sigma2 = float(resid @ resid) / dof
     cov00 = sigma2 * np.linalg.inv(X.T @ X)[0, 0]
@@ -396,7 +401,8 @@ def fit_residual_rms(table: CountTable, b: int) -> float:
 
 def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000) -> PoissonCheck:
     """Compare the direct height sum with the character-side sum truncated
-    at ||a|| <= A.  Supported for the one-dimensional models."""
+    at ||a|| <= A.  Supported for the one-dimensional models.  The
+    archimedean transform is even in a, so it is computed once per |a|."""
     s = float(s)
     if model.id == "E1":
         if s <= 1.0:
@@ -404,9 +410,8 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         ns = np.arange(1, height_cutoff + 1, dtype=float)
         lhs = 1.0 + 2.0 * float(np.sum(ns ** (-s)))
         lhs_tail = 2.0 * height_cutoff ** (1.0 - s) / (s - 1.0)
-        vals = []
-        for a in range(-A, A + 1):
-            vals.append((a, arch_density(model, a, s).real))  # finite factors are all 1
+        arch = _arch_by_abs(model, s, A)
+        vals = [(a, arch[abs(a)]) for a in range(-A, A + 1)]  # finite factors are all 1
         rhs = math.fsum(v for _, v in vals)
         rhs_tail = _rhs_tail(vals, A)
         return PoissonCheck(lhs, rhs, abs(lhs - rhs), lhs_tail, rhs_tail)
@@ -421,17 +426,23 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         lhs_tail = (24.0 / math.pi**2) * T ** (2.0 - w) / (w - 2.0)
         zw = float(_riemann_zeta(w))
         zw1 = float(_riemann_zeta(w - 1.0))
-        vals = [(0, arch_density(model, 0, s).real * zw1 / zw)]
+        arch = _arch_by_abs(model, s, A)
+        vals = [(0, arch[0] * zw1 / zw)]
         for a in [t for t in range(-A, A + 1) if t != 0]:
             fin = 1.0 / zw
             for p in set(prime_factors(abs(a))):
                 hp = fourier_finite(model, p, (Fraction(a),), s_vector(model, s))
                 fin *= hp.real / (1.0 - p ** (-w))
-            vals.append((a, arch_density(model, a, s).real * fin))
+            vals.append((a, arch[abs(a)] * fin))
         rhs = math.fsum(v for _, v in vals)
         rhs_tail = _rhs_tail(vals, A)
         return PoissonCheck(lhs, rhs, abs(lhs - rhs), lhs_tail, rhs_tail)
     raise ConfigError(f"poisson_crosscheck supports E1 and E2, not {model.id}")
+
+
+def _arch_by_abs(model, s: float, A: int) -> list[float]:
+    # arch_density is even in a; entry k is its real part at a = k
+    return [arch_density(model, a, s).real for a in range(max(A, 0) + 1)]
 
 
 def _rhs_tail(vals: list[tuple[int, float]], A: int) -> float:

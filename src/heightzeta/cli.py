@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import census, density, oscillatory
 from .boundary import clemens_complex, exponent_b
 from .catalog import get_model, places_from_spec
-from .errors import ConfigError, HeightZetaError
+from .errors import ConfigError, HeightZetaError, NonconvergentError
 from .localfield import BumpFunction, Place, RadialBump, StepFunction
 
 
@@ -205,6 +205,12 @@ def _run_density(cfg: ExperimentConfig):
     if place.is_finite:
         val = density.denef_density(model, place.prime, cfg.s, restrict=cfg.restrict)
     else:
+        # int max(1, |x|)^{-w} over R^k converges only for Re w > k; past
+        # that, arch_density returns the analytic continuation
+        for alpha, idx in model.norm_coords.items():
+            w = model.divisors.lam(alpha) * complex(cfg.s)
+            if w.real <= len(idx):
+                raise NonconvergentError(f"the {alpha} block diverges: Re(lambda s) = {w.real:g} <= {len(idx)}")
         val = density.arch_density(model, 0, cfg.s)
     # both are closed forms: the stratum-count formula and, per block, the
     # archimedean transform at a = 0

@@ -11,8 +11,11 @@ Archimedean integrals are adaptive quadrature: the domain is split at
 eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
 turns the phase into a linear one handled by QAWO/QAWF.  On the stationary
 side [0, eps], for real s, QAWS takes x^{s-1} as an algebraic weight and
-integrates the endpoint singularity exactly.  At the complex place the
-test function is radial, so the angular integral is exact,
+integrates the endpoint singularity exactly.  On R^n the integral is one
+recursion over half-lines: every outer coordinate gets the same QAWS
+weight, and each inner transform, which depends on the outer coordinates
+only through its frequency, is computed once per frequency.  At the
+complex place the test function is radial, so the angular integral is exact,
 int_0^{2 pi} e^{-iX cos(d theta + alpha)} dtheta = 2 pi J_0(X), and what
 remains is one radial integral against J_0(4 pi |a| r^d).
 """
@@ -204,21 +207,25 @@ def decay_kappa(d, s) -> float:
     return min(0.5, complex(s).real / d)
 
 
+def _power_weighted(f, R: float, s: complex, **kw):
+    """int_0^R r^{s-1} f(r) dr.  For real s, r^{s-1} is QUADPACK's algebraic
+    weight (QAWS), which integrates the endpoint singularity exactly.  For
+    complex s the weight would leave the oscillating r^{i Im s} in the
+    integrand, where QAWS came out up to 3e-7 off with an error estimate of
+    8e-10, so r^{s-1} stays in the integrand under QAGS."""
+    if s.imag == 0.0:
+        return quad_complex(f, 0.0, R, weight="alg", wvar=(s.real - 1.0, 0.0), **kw)
+    return quad_complex(lambda r: r ** (s - 1.0) * f(r), 0.0, R, **kw)
+
+
 def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
     """int_0^R r^{s-1} e^{-2 pi i A r^d} g(r) dr  with the stationary
     region [0, eps], eps^d |A| = 1, integrated directly and the oscillatory
-    remainder integrated after t = r^d.  For real s the stationary piece
-    takes r^{s-1} as QUADPACK's algebraic weight.  For complex s the weight
-    would leave the oscillating r^{i Im s} in the integrand, where QAWS came
-    out up to 3e-7 off with an error estimate of 8e-10."""
+    remainder integrated after t = r^d."""
     if R <= 0.0:
         return 0j, 0.0
     eps = R if A == 0.0 else min(R, abs(A) ** (-1.0 / d))
-    if s.imag == 0.0:
-        f, weight = (lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r)), dict(weight="alg", wvar=(s.real - 1.0, 0.0))
-    else:
-        f, weight = (lambda r: (r ** (s - 1.0)) * cmath.exp(-2j * math.pi * A * r**d) * g(r)), {}
-    total, err = quad_complex(f, 0.0, eps, epsrel=epsrel, **weight)
+    total, err = _power_weighted(lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r), eps, s, epsrel=epsrel)
     if eps < R:
         f = lambda t: (1.0 / d) * (t ** (s / d - 1.0)) * g(t ** (1.0 / d))
         val, e2 = quad_oscillatory(f, eps**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)
@@ -337,44 +344,47 @@ def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
 
 
 def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
-    """Iterated quadrature: innermost coordinate via the 1-d machinery, at
-    relative tolerance 1e-8 alone and 1e-7 under an outer integral."""
+    """Iterated quadrature over half-lines.  Coordinate 0 is the 1-d
+    machinery, at relative tolerance 1e-8 alone and 1e-7 under an outer
+    integral.  Each outer coordinate y_j is split at 0 into [0, hi] and the
+    mirrored [0, -lo], with |y_j|^{s_j-1} as in ``_power_weighted``.  The
+    coordinates below j see y_j, ..., y_{n-1} only through the frequency
+    a prod_{k>=j} y_k^{d_k}, so each level is cached by it: the real and
+    imaginary QUADPACK passes and, for even d_j, the two halves share
+    their inner values.  The error is the outer QUADPACK estimate plus each
+    inner level's largest estimate times the L1 mass
+    prod int |phi_k| |y|^{Re s_k - 1} dy of the coordinates outside it."""
     n = len(phis)
     if n == 1:
-        return _osc_real_1d(phis[0], a, d[0], complex(s[0]), 1e-8)
+        return _osc_real_1d(phis[0], a, d[0], s[0], 1e-8)
+    kw = dict(epsrel=1e-6, limit=200) if n == 2 else dict(epsrel=1e-5, limit=100)
+    halves = [[(sg, R) for sg, R in ((1.0, phi.support[1]), (-1.0, -phi.support[0])) if R > 0.0] for phi in phis]
+    cache, worst = {}, [0.0] * n
 
-    inner_d, inner_s = d[0], complex(s[0])
-    rest_phis, rest_d, rest_s = phis[1:], d[1:], s[1:]
-    err_acc = [0.0]
+    def level(j: int, aa: float) -> complex:
+        # the integral over y_0 .. y_j at frequency aa
+        if (j, aa) not in cache:
+            if j == 0:
+                r = _osc_real_1d(phis[0], aa, d[0], s[0], 1e-7)
+                val, err = r.value, r.error
+            else:
+                val, err = 0j, 0.0
+                for sign, R in halves[j]:
+                    f = lambda y: level(j - 1, aa * (sign * y) ** d[j]) * phis[j](sign * y)
+                    v, e = _power_weighted(f, R, s[j], **kw)
+                    val, err = val + v, err + e
+            cache[j, aa] = val
+            worst[j] = max(worst[j], err)
+        return cache[j, aa]
 
-    def outer_integrand(*coords) -> complex:
-        aa = float(a)
-        for x, dd in zip(coords, rest_d):
-            aa *= x**dd
-        inner = _osc_real_1d(phis[0], aa, inner_d, inner_s, 1e-7)
-        w = inner.value
-        for x, phi_j, s_j in zip(coords, rest_phis, rest_s):
-            w *= (abs(x) ** (complex(s_j) - 1.0)) * phi_j(x)
-        return w
-
-    if n == 2:
-        lo, hi = rest_phis[0].support
-        pts = [0.0] if lo < 0.0 < hi else None
-        val, err = quad_complex(lambda y: outer_integrand(y), lo, hi, points=pts, epsrel=1e-6, limit=200)
-        return OscillatoryResult(val, exact=False, error=err)
-    if n == 3:
-        lo2, hi2 = rest_phis[1].support
-
-        def middle(z):
-            lo1, hi1 = rest_phis[0].support
-            pts = [0.0] if lo1 < 0.0 < hi1 else None
-            v, _ = quad_complex(lambda y: outer_integrand(y, z), lo1, hi1, points=pts, epsrel=1e-5, limit=100)
-            return v
-
-        pts = [0.0] if lo2 < 0.0 < hi2 else None
-        val, err = quad_complex(middle, lo2, hi2, points=pts, epsrel=1e-5, limit=100)
-        return OscillatoryResult(val, exact=False, error=err)
-    raise ValueError("osc_integral_nd supports n <= 3")
+    value, error, mass = level(n - 1, float(a)), worst[n - 1], 1.0
+    for j in range(n - 1, 0, -1):
+        mass_j = 0.0
+        for sign, R in halves[j]:
+            mass_j += _power_weighted(lambda y: complex(abs(phis[j](sign * y))), R, complex(s[j].real))[0].real
+        mass *= mass_j
+        error += worst[j - 1] * mass
+    return OscillatoryResult(value, exact=False, error=error)
 
 
 def osc_integral_nd(place: Place, phis: Sequence, a, d: Sequence[int], s: Sequence) -> OscillatoryResult:

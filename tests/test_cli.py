@@ -130,3 +130,10 @@ def test_error_exit_codes(tmp_path):
         ["theta", "--model", "E4", "--S", "inf,2,3", "--prime-cutoff", "3"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 2, argv
+    # a density whose integral diverges (Re(2 s) <= 1 for E2) and a fit whose
+    # curve does not follow the data are numeric failures
+    for argv in (
+        ["density", "--model", "E2", "--place", "real", "--s", "0.4"],
+        ["fit", "--model", "E1", "--S", "inf", "--B-grid", "10,20,30,40,50", "--b", "40"],
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == 4, argv

@@ -219,6 +219,15 @@ def test_arch_tiny_characters():
             arch_density(model, a, s0)
 
 
+def test_arch_density_even_in_a():
+    # poisson_crosscheck computes each transform once per |a|, which needs
+    # the two signs to agree bit for bit
+    for mid, s0 in (("E1", 3.0), ("E1", 1.3), ("E2", 1.5), ("E2", 3.0)):
+        m = get_model(mid)
+        for a in (1, 2, 7, 40, 0.37):
+            assert arch_density(m, a, s0) == arch_density(m, -a, s0), (mid, s0, a)
+
+
 # ---------------------------------------------------------------------------
 # finite-place character transforms
 

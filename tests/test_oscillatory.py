@@ -200,14 +200,15 @@ def _bump_profile(x, c: float, rad: float):
     return np.where(np.abs(u) < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
 
 
-def _halfline_rule(R: float, A: float, d: int, nodes: int):
-    """Gauss-Legendre nodes and weights on [eps, R]: panels that each hold
-    at most half a period of e^{-2 pi i A r^d}, the first of them cut into
-    60 geometric panels towards eps = 2^-60 times its width, where r^{s-1}
-    is smooth on each panel.  Returns (r, w, eps)."""
-    n = max(32, math.ceil(2.0 * abs(A) * R**d))
+def _halfline_rule(R: float, A: float, d: int, nodes: int, panels: int = 32, depth: int = 60):
+    """Gauss-Legendre nodes and weights on [eps, R]: at least ``panels``
+    panels that each hold at most half a period of e^{-2 pi i A r^d}, the
+    first of them cut into ``depth`` geometric panels towards
+    eps = 2^-depth times its width, where r^{s-1} is smooth on each panel.
+    Returns (r, w, eps)."""
+    n = max(panels, math.ceil(2.0 * abs(A) * R**d))
     edges = R * (np.arange(1, n + 1) / n) ** (1.0 / d)
-    edges = np.concatenate([edges[0] * 2.0 ** -np.arange(60.0, 0.0, -1.0), edges])
+    edges = np.concatenate([edges[0] * 2.0 ** -np.arange(float(depth), 0.0, -1.0), edges])
     x, w = np.polynomial.legendre.leggauss(nodes)
     lo, hi = edges[:-1, None], edges[1:, None]
     return ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel(), ((hi - lo) / 2 * w).ravel(), edges[0]
@@ -261,27 +262,74 @@ def test_osc1d_real_vs_reference():
                         assert dev <= 1e-10 * abs(ref), (c, rad, s, a, d, got, ref)
 
 
-def test_osc_nd_real_vs_tensor_gauss():
-    # int int |x|^{s1-1} |y|^{s2-1} e^{-2 pi i a x y^2} phi(x) phi(y) dx dy by
-    # a tensor Gauss-Legendre rule; [-eps, eps] holds below eps^{1.13} = 1e-20
-    a, d, s = 10.13, (1, 2), (1.15, 1.13)
+def _axis_rule(sj, a: float, nodes: int, c: float = 0.0, rad: float = 1.0, d: int = 1, **rule):
+    """The rule of ``_halfline_rule`` at frequency a on each half-line of
+    the bump (c - rad, c + rad), the positive nodes first, with the weights
+    times |r|^{s_j-1} phi(r)."""
+    r, w = [], []
+    for sign, R in ((1.0, c + rad), (-1.0, rad - c)):
+        if R > 0.0:
+            rr, ww, _ = _halfline_rule(R, a, d, nodes, **rule)
+            r.append(sign * rr)
+            w.append(ww)
+    r, w = np.concatenate(r), np.concatenate(w)
+    return r, w * np.abs(r) ** (sj - 1.0) * _bump_profile(r, c, rad)
 
-    def axis(sj: float, nodes: int):
-        r, w, _ = _halfline_rule(1.0, a, 1, nodes)
-        r, w = np.concatenate([r, -r]), np.concatenate([w, w])
-        return r, w * np.abs(r) ** (sj - 1.0) * _bump_profile(r, 0.0, 1.0)
 
-    def tensor(nodes: int) -> complex:
-        x, wx = axis(s[0], nodes)
-        y, wy = axis(s[1], nodes)
-        rows = zip(np.array_split(x, 16), np.array_split(wx, 16))
-        return complex(sum(np.exp(-2j * np.pi * a * xc[:, None] * y**2) @ wy @ wc for xc, wc in rows))
+def _tensor_2d(a: float, d, s, bumps, nodes: int, ydeg: int = 1) -> complex:
+    """int int |x|^{s1-1} |y|^{s2-1} e^{-2 pi i a x^d1 y^d2} phi1(x) phi2(y)
+    by the tensor product of two ``_axis_rule``s; [-eps, eps] holds below
+    eps^{Re s_j} < 1e-17.  The y rule puts its panels in y^ydeg."""
+    x, wx = _axis_rule(s[0], a, nodes, *bumps[0])
+    y, wy = _axis_rule(s[1], a, nodes, *bumps[1], d=ydeg)
+    rows = zip(np.array_split(x ** d[0], 16), np.array_split(wx, 16))
+    return complex(sum(np.exp(-2j * np.pi * a * xc[:, None] * y ** d[1]) @ wy @ wc for xc, wc in rows))
 
-    ref = tensor(16)
-    assert abs(ref - tensor(12)) < 1e-13 * abs(ref)
-    got = osc_integral_nd(R, (BumpFunction.standard(),) * 2, a, d, s)
+
+def _check_2d(a: float, d, s, bumps, tol: float, ydeg: int = 1):
+    ref = _tensor_2d(a, d, s, bumps, 16, ydeg)
+    assert abs(ref - _tensor_2d(a, d, s, bumps, 12, ydeg)) < 1e-13 * abs(ref)
+    got = osc_integral_nd(R, tuple(BumpFunction.standard(c, rad) for c, rad in bumps), a, d, s)
     dev = abs(got.value - ref)
-    assert dev <= 1e-10 * abs(ref), (got, ref)
+    assert dev <= tol * abs(ref), (got, ref)
+    assert got.error >= dev
+
+
+def test_osc_nd_real_vs_tensor_gauss():
+    _check_2d(10.13, (1, 2), (1.15, 1.13), ((0.0, 1.0), (0.0, 1.0)), 1e-10)
+
+
+def test_osc_nd_real_complex_s_vs_tensor_gauss():
+    # for complex s_2 the outer weight stays in the integrand, under QAGS
+    _check_2d(10.13, (1, 2), (1.15, 0.9 + 0.4j), ((0.0, 1.0), (0.0, 1.0)), 1e-10)
+
+
+def test_osc_nd_real_odd_offcentre_vs_tensor_gauss():
+    # odd d_2 and off-centre bumps: the mirrored halves differ in length and
+    # their frequencies in sign
+    _check_2d(3.0, (1, 3), (1.15, 1.13), ((-0.2, 0.8), (0.3, 1.5)), 1e-9, ydeg=3)
+
+
+def test_osc_nd_real_3d_vs_tensor_gauss():
+    # int |x|^{s1-1} |y|^{s2-1} |z|^{s3-1} e^{-2 pi i a x y^2 z^2} phi(x)
+    # phi(y) phi(z) for the centred bump.  Its rule takes each |r| twice
+    # with equal weights, so the y and z sums fold onto the positive nodes
+    # and the x sum becomes a cosine sum
+    a, d, s = 2.0, (1, 2, 2), (1.2, 1.1, 1.3)
+
+    def tensor(nodes: int) -> float:
+        (x, wx), (y, wy), (z, wz) = (_axis_rule(sj, a, nodes, panels=24, depth=30) for sj in s)
+        n = len(x) // 2
+        x, wx, y, wy, z, wz = x[:n], 2 * wx[:n], y[:n], 2 * wy[:n], z[:n], 2 * wz[:n]
+        t, wt = np.outer(y**2, z**2).ravel(), np.outer(wy, wz).ravel()
+        rows = zip(np.array_split(x, 16), np.array_split(wx, 16))
+        return math.fsum(wc @ (np.cos(2.0 * np.pi * a * np.outer(xc, t)) @ wt) for xc, wc in rows)
+
+    ref = tensor(6)
+    assert abs(ref - tensor(5)) < 1e-9 * abs(ref)
+    got = osc_integral_nd(R, (BumpFunction.standard(),) * 3, a, d, s)
+    dev = abs(got.value - ref)
+    assert dev <= 1e-8 * abs(ref), (got, ref)
     assert got.error >= dev
 
 
