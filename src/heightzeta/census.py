@@ -410,7 +410,7 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         ns = np.arange(1, height_cutoff + 1, dtype=float)
         lhs = 1.0 + 2.0 * float(np.sum(ns ** (-s)))
         lhs_tail = 2.0 * height_cutoff ** (1.0 - s) / (s - 1.0)
-        arch = _arch_by_abs(model, s, A)
+        arch = [arch_density(model, a, s).real for a in range(max(A, 0) + 1)]
         vals = [(a, arch[abs(a)]) for a in range(-A, A + 1)]  # finite factors are all 1
         rhs = math.fsum(v for _, v in vals)
         rhs_tail = _rhs_tail(vals, A)
@@ -426,7 +426,7 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         lhs_tail = (24.0 / math.pi**2) * T ** (2.0 - w) / (w - 2.0)
         zw = float(_riemann_zeta(w))
         zw1 = float(_riemann_zeta(w - 1.0))
-        arch = _arch_by_abs(model, s, A)
+        arch = [arch_density(model, a, s).real for a in range(max(A, 0) + 1)]
         vals = [(0, arch[0] * zw1 / zw)]
         for a in [t for t in range(-A, A + 1) if t != 0]:
             fin = 1.0 / zw
@@ -438,11 +438,6 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         rhs_tail = _rhs_tail(vals, A)
         return PoissonCheck(lhs, rhs, abs(lhs - rhs), lhs_tail, rhs_tail)
     raise ConfigError(f"poisson_crosscheck supports E1 and E2, not {model.id}")
-
-
-def _arch_by_abs(model, s: float, A: int) -> list[float]:
-    # arch_density is even in a; entry k is its real part at a = k
-    return [arch_density(model, a, s).real for a in range(max(A, 0) + 1)]
 
 
 def _rhs_tail(vals: list[tuple[int, float]], A: int) -> float:
