@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: zeta-local, osc, clemens, density, theta, count, fit,
-poisson, equi, describe.  Each writes a JSON artifact (and CSV where the
-result is tabular) under --out and prints a one-line summary; identical
-configuration produces byte-identical outputs.
+Commands: zeta-local, osc, clemens, density, theta, count, fit, poisson,
+equi, describe.  They share one option set, given before or after the
+command.  Each writes a JSON artifact (and CSV where the result is
+tabular) under --out and prints a one-line summary; identical
+configuration produces byte-identical outputs.  --B and --B-grid are
+read exactly (1e23 is 10**23; 7/2 is allowed); artifacts record B as a
+float.
 
 Configuration may come from a flat key=value file (--config); command-line
 flags win over file values.  Exit codes: 0 ok, 2 config error, 3 budget
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,7 +38,7 @@ class ExperimentConfig:
     command: str
     model: str = "E1"
     S: tuple = ("inf",)
-    B: float | None = None
+    B: Fraction | None = None
     B_grid: tuple = ()
     s: float = 2.0
     a_grid: tuple = ()
@@ -52,10 +56,10 @@ class ExperimentConfig:
         if not self.S or "inf" not in tuple(str(x) for x in self.S):
             raise ConfigError("S must contain the real place ('inf')")
         Bs = (*self.B_grid, *(() if self.B is None else (self.B,)))
-        if not all(math.isfinite(B) for B in Bs):
-            raise ConfigError(f"B must be finite: {', '.join(map(str, Bs))}")
-        if any(B < 1 for B in Bs):
-            raise ConfigError("B must be >= 1")
+        # 2**1024 ends the float range, where artifacts would overflow; the
+        # comparison also refuses nan and stays exact for a Fraction
+        if not all(1 <= B < 2**1024 for B in Bs):
+            raise ConfigError(f"B must be finite and >= 1: {', '.join(map(str, Bs))}")
         if not math.isfinite(self.s):
             raise ConfigError(f"s must be finite: {self.s}")
         if self.b is not None and self.b < 1:
@@ -316,7 +320,7 @@ def _run_equi(cfg: ExperimentConfig):
     if cfg.B is None:
         raise ConfigError("equi needs --B")
     rows = census.equidistribution_test(model, S, cfg.B, threads=cfg.threads)
-    payload = {"model": model.id, "B": cfg.B, "rows": rows}
+    payload = {"model": model.id, "B": float(cfg.B), "rows": rows}
     _write_json(cfg, f"equi_{model.id}.json", payload)
     for r in rows:
         print(f"{r['region']}: empirical {r['empirical']:.4f} vs predicted {r['predicted']:.4f}")
@@ -374,31 +378,36 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t)
+def _exact_B(text: str) -> Fraction:
+    """B as an exact rational: an integer, p/q, or a decimal or scientific
+    literal.  A literal whose float is not in [1, inf) is refused before
+    Fraction expands its exponent (1e-999999999 would take 10**999999999)."""
+    if "/" not in text and not 1.0 <= float(text) < math.inf:
+        raise ConfigError(f"B must be finite and >= 1: {text}")
+    return Fraction(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser for every command, built once per process."""
     ap = argparse.ArgumentParser(prog="heightzeta", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config")
-        sp.add_argument("--model", default=None)
-        sp.add_argument("--S", default=None, help="comma list, e.g. inf,5")
-        sp.add_argument("--B", type=float, default=None)
-        sp.add_argument("--B-grid", dest="B_grid", default=None, help="comma list of B values")
-        sp.add_argument("--s", type=float, default=None)
-        sp.add_argument("--a-grid", dest="a_grid", default=None)
-        sp.add_argument("--place", default=None)
-        sp.add_argument("--d", type=int, default=None)
-        sp.add_argument("--phi", default=None)
-        sp.add_argument("--A", type=int, default=None)
-        sp.add_argument("--b", type=int, default=None)
-        sp.add_argument("--prime-cutoff", dest="prime_cutoff", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--no-restrict", dest="restrict", action="store_false", default=None)
+    ap.add_argument("command", choices=tuple(_HANDLERS))
+    ap.add_argument("--config")
+    ap.add_argument("--model")
+    ap.add_argument("--S", help="comma list, e.g. inf,5")
+    ap.add_argument("--B", help="an integer, p/q or decimal, read exactly")
+    ap.add_argument("--B-grid", dest="B_grid", help="comma list of B values")
+    ap.add_argument("--s", type=float)
+    ap.add_argument("--a-grid", dest="a_grid")
+    ap.add_argument("--place")
+    ap.add_argument("--d", type=int)
+    ap.add_argument("--phi")
+    ap.add_argument("--A", type=int)
+    ap.add_argument("--b", type=int)
+    ap.add_argument("--prime-cutoff", dest="prime_cutoff", type=int)
+    ap.add_argument("--threads", type=int)
+    ap.add_argument("--out")
+    ap.add_argument("--no-restrict", dest="restrict", action="store_false", default=None)
     return ap
 
 
@@ -418,15 +427,19 @@ def config_from_args(args) -> ExperimentConfig:
         try:
             if f.name in ("S",):
                 val = tuple(str(val).split(",")) if isinstance(val, str) else tuple(val)
-            elif f.name in ("B_grid", "a_grid") and isinstance(val, str):
-                val = _floats(val)
-            elif f.name in ("B", "s"):
+            elif f.name == "B_grid" and isinstance(val, str):
+                val = tuple(_exact_B(t) for t in val.split(",") if t)
+            elif f.name == "a_grid" and isinstance(val, str):
+                val = tuple(float(t) for t in val.split(",") if t)
+            elif f.name == "B":
+                val = _exact_B(val)
+            elif f.name == "s":
                 val = float(val)
             elif f.name in ("d", "A", "b", "prime_cutoff", "threads"):
                 val = int(val)
             elif f.name == "restrict":
                 val = val if isinstance(val, bool) else str(val).lower() not in ("0", "false", "no")
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad value for {f.name}: {val!r}") from None
         setattr(cfg, f.name, val)
     return cfg

@@ -207,15 +207,16 @@ def decay_kappa(d, s) -> float:
     return min(0.5, complex(s).real / d)
 
 
-def _power_weighted(f, R: float, s: complex, **kw):
-    """int_0^R r^{s-1} f(r) dr.  For real s, r^{s-1} is QUADPACK's algebraic
-    weight (QAWS), which integrates the endpoint singularity exactly.  For
-    complex s the weight would leave the oscillating r^{i Im s} in the
-    integrand, where QAWS came out up to 3e-7 off with an error estimate of
-    8e-10, so r^{s-1} stays in the integrand under QAGS."""
-    if s.imag == 0.0:
+def _power_weighted(f, R: float, s: complex, r0: float = 0.0, **kw):
+    """int_{r0}^R r^{s-1} f(r) dr.  For real s and r0 = 0, r^{s-1} is
+    QUADPACK's algebraic weight (QAWS), which integrates the endpoint
+    singularity exactly.  For complex s the weight would leave the
+    oscillating r^{i Im s} in the integrand, where QAWS came out up to 3e-7
+    off with an error estimate of 8e-10, so r^{s-1} stays in the integrand
+    under QAGS; so it does for r0 > 0, where it is smooth."""
+    if s.imag == 0.0 and r0 == 0.0:
         return quad_complex(f, 0.0, R, weight="alg", wvar=(s.real - 1.0, 0.0), **kw)
-    return quad_complex(lambda r: r ** (s - 1.0) * f(r), 0.0, R, **kw)
+    return quad_complex(lambda r: r ** (s - 1.0) * f(r), r0, R, **kw)
 
 
 def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
@@ -346,8 +347,11 @@ def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
 def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     """Iterated quadrature over half-lines.  Coordinate 0 is the 1-d
     machinery, at relative tolerance 1e-8 alone and 1e-7 under an outer
-    integral.  Each outer coordinate y_j is split at 0 into [0, hi] and the
-    mirrored [0, -lo], with |y_j|^{s_j-1} as in ``_power_weighted``.  The
+    integral.  Each outer coordinate y_j is split at 0 into the parts of its
+    support (lo, hi) on either side, as |y_j| in [max(lo, 0), hi] and the
+    mirrored [max(-hi, 0), -lo], with |y_j|^{s_j-1} as in
+    ``_power_weighted``; a support that misses 0 is integrated only where
+    phi_j is nonzero.  The
     coordinates below j see y_j, ..., y_{n-1} only through the frequency
     a prod_{k>=j} y_k^{d_k}, so each level is cached by it: the real and
     imaginary QUADPACK passes and, for even d_j, the two halves share
@@ -358,7 +362,10 @@ def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     if n == 1:
         return _osc_real_1d(phis[0], a, d[0], s[0], 1e-8)
     kw = dict(epsrel=1e-6, limit=200) if n == 2 else dict(epsrel=1e-5, limit=100)
-    halves = [[(sg, R) for sg, R in ((1.0, phi.support[1]), (-1.0, -phi.support[0])) if R > 0.0] for phi in phis]
+    halves = [
+        [(sg, max(lo, 0.0), hi) for sg, lo, hi in ((1.0, *phi.support), (-1.0, -phi.support[1], -phi.support[0])) if hi > 0.0]
+        for phi in phis
+    ]
     cache, worst = {}, [0.0] * n
 
     def level(j: int, aa: float) -> complex:
@@ -369,9 +376,9 @@ def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
                 val, err = r.value, r.error
             else:
                 val, err = 0j, 0.0
-                for sign, R in halves[j]:
+                for sign, r0, R in halves[j]:
                     f = lambda y: level(j - 1, aa * (sign * y) ** d[j]) * phis[j](sign * y)
-                    v, e = _power_weighted(f, R, s[j], **kw)
+                    v, e = _power_weighted(f, R, s[j], r0, **kw)
                     val, err = val + v, err + e
             cache[j, aa] = val
             worst[j] = max(worst[j], err)
@@ -380,8 +387,8 @@ def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     value, error, mass = level(n - 1, float(a)), worst[n - 1], 1.0
     for j in range(n - 1, 0, -1):
         mass_j = 0.0
-        for sign, R in halves[j]:
-            mass_j += _power_weighted(lambda y: complex(abs(phis[j](sign * y))), R, complex(s[j].real))[0].real
+        for sign, r0, R in halves[j]:
+            mass_j += _power_weighted(lambda y: complex(abs(phis[j](sign * y))), R, complex(s[j].real), r0)[0].real
         mass *= mass_j
         error += worst[j - 1] * mass
     return OscillatoryResult(value, exact=False, error=error)

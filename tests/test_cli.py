@@ -1,6 +1,8 @@
 import json
 
-from heightzeta.cli import main
+import pytest
+
+from heightzeta.cli import _HANDLERS, build_parser, main
 
 
 def _read(path):
@@ -22,6 +24,56 @@ def test_count_and_determinism(tmp_path):
     out3 = tmp_path / "c"
     assert main(args[:-1] + ["--threads", "4", "--out", str(out3)]) == 0
     assert _read(out1 / "count_E1.json") == _read(out3 / "count_E1.json")
+
+
+def test_exact_B(tmp_path):
+    # B is read as an exact rational: 1e23 as a float is 99999999999999991611392
+    for B, N, B_float in (("1e23", 2 * 10**23 + 1, 1e23), ("7/2", 7, 3.5)):
+        assert main(["count", "--model", "E1", "--S", "inf", "--B", B, "--out", str(tmp_path)]) == 0
+        row = json.loads(_read(tmp_path / "count_E1.json"))["rows"][0]
+        assert (row["N"], row["B"]) == (N, B_float)
+
+
+def test_shared_parser_keeps_no_state(tmp_path):
+    # the parser is built once per process; a flag of one call must not
+    # reach the next
+    args = ["density", "--model", "E4", "--place", "3", "--s", "1.5"]
+    assert main([*args, "--no-restrict", "--out", str(tmp_path / "a")]) == 0
+    assert main([*args, "--out", str(tmp_path / "b")]) == 0
+    fresh = tmp_path / "fresh"
+    assert main([*args, "--out", str(fresh)]) == 0
+    assert _read(tmp_path / "b" / "density_E4.json") == _read(fresh / "density_E4.json")
+    assert _read(tmp_path / "a" / "density_E4.json") != _read(fresh / "density_E4.json")
+    # options may also come before the command
+    assert main([*args[1:], "--out", str(tmp_path / "c"), "density"]) == 0
+    assert _read(tmp_path / "c" / "density_E4.json") == _read(fresh / "density_E4.json")
+
+
+def test_parser_commands_and_help(capsys):
+    for argv in (["nope"], [], ["--model", "E1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(name in usage for name in _HANDLERS)
+    assert build_parser() is build_parser()
+
+
+def test_every_command_takes_every_option():
+    options = [
+        "--config", "c.cfg", "--model", "E2", "--S", "inf,5", "--B", "7/2", "--B-grid", "10,1e2",
+        "--s", "1.5", "--a-grid", "8,64", "--place", "3", "--d", "2", "--phi", "units", "--A", "9",
+        "--b", "2", "--prime-cutoff", "50", "--threads", "2", "--out", "o", "--no-restrict",
+    ]
+    for name in _HANDLERS:
+        args = build_parser().parse_args([name, *options])
+        assert args.command == name
+        assert (args.config, args.model, args.S, args.B, args.B_grid) == ("c.cfg", "E2", "inf,5", "7/2", "10,1e2")
+        assert (args.s, args.a_grid, args.place, args.d, args.phi, args.A) == (1.5, "8,64", "3", 2, "units", 9)
+        assert (args.b, args.prime_cutoff, args.threads, args.out, args.restrict) == (2, 50, 2, "o", False)
 
 
 def test_theta_json(tmp_path):
@@ -86,8 +138,13 @@ def test_error_exit_codes(tmp_path):
     assert main(["count", "--model", "E1", "--S", "5", "--B", "10", "--out", str(tmp_path)]) == 2
     assert main(["count", "--model", "E5", "--S", "inf", "--B", "1e12", "--out", str(tmp_path)]) == 3
     assert main(["poisson", "--model", "E1", "--s", "0.5", "--A", "5", "--out", str(tmp_path)]) == 2
-    # a non-finite B is a config error, not a traceback or a numeric failure
-    for flag in (["--B", "inf"], ["--B", "1e400"], ["--B", "nan"], ["--B-grid", "10,1e400"]):
+    # a non-finite B is a config error, not a traceback or a numeric failure,
+    # and so are a B of 2**1024 or more written as p/q, a zero denominator
+    # and an exponent that would expand to a huge integer
+    for flag in (
+        ["--B", "inf"], ["--B", "1e400"], ["--B", "nan"], ["--B-grid", "10,1e400"],
+        ["--B", f"{2**1024}/1"], ["--B", "7/0"], ["--B", "1e-999999999"],
+    ):
         assert main(["count", "--model", "E1", "--S", "inf", *flag, "--out", str(tmp_path)]) == 2, flag
     # so are a negative prime cutoff, a negative A and a B-grid value below 1
     for argv in (
