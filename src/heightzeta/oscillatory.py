@@ -347,15 +347,13 @@ def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
 def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     """Iterated quadrature over half-lines.  Coordinate 0 is the 1-d
     machinery, at relative tolerance 1e-8 alone and 1e-7 under an outer
-    integral.  Each outer coordinate y_j is split at 0 into the parts of its
-    support (lo, hi) on either side, as |y_j| in [max(lo, 0), hi] and the
-    mirrored [max(-hi, 0), -lo], with |y_j|^{s_j-1} as in
-    ``_power_weighted``; a support that misses 0 is integrated only where
-    phi_j is nonzero.  The
-    coordinates below j see y_j, ..., y_{n-1} only through the frequency
-    a prod_{k>=j} y_k^{d_k}, so each level is cached by it: the real and
-    imaginary QUADPACK passes and, for even d_j, the two halves share
-    their inner values.  The error is the outer QUADPACK estimate plus each
+    integral.  Each outer coordinate y_j with support (lo, hi) is split at 0
+    into |y_j| in [max(lo, 0), hi] and the mirrored [max(-hi, 0), -lo],
+    with |y_j|^{s_j-1} as in ``_power_weighted``, so a support that misses
+    0 is integrated only where phi_j lives.  The coordinates below j see
+    y_j, ..., y_{n-1} only through the frequency a prod_{k>=j} y_k^{d_k},
+    so each level is cached by it: the real and imaginary QUADPACK passes
+    and, for even d_j, the two halves share their inner values.  The error is the outer QUADPACK estimate plus each
     inner level's largest estimate times the L1 mass
     prod int |phi_k| |y|^{Re s_k - 1} dy of the coordinates outside it."""
     n = len(phis)
