@@ -23,11 +23,12 @@ fractional part), e^{-2 pi i x} on R and e^{-4 pi i Re(x)} on C.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import quad
@@ -474,58 +475,62 @@ class StepFunction:
         return cls(d["p"], d["level"], d["support_exp"], table)
 
 
-def _standard_profile(radius: float, amplitude: float):
-    r2 = radius * radius
-
-    def f(u: float) -> float:
-        if abs(u) >= radius:
-            return 0.0
-        w = 1.0 - (u * u) / r2
-        return amplitude * math.exp(1.0 - 1.0 / w)
-
-    def df(u: float) -> float:
-        if abs(u) >= radius:
-            return 0.0
-        w = 1.0 - (u * u) / r2
-        return f(u) * (-2.0 * u / (r2 * w * w))
-
-    return f, df
-
-
 @dataclass
 class BumpFunction:
-    """Smooth compactly supported test function on R.
+    """The smooth test function  amplitude * exp(1 - 1/(1 - u^2))  with
+    u = (x - center)/radius, supported on (center - radius, center + radius).
 
     ``sup_f`` and ``sup_df`` are upper bounds for |f| and |f'|; they are
     spot-checked on a grid by the test suite, not trusted blindly.
     """
 
-    support: tuple[float, float]
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    sup_f: float
-    sup_df: float
-
-    def __call__(self, x: float) -> float:
-        lo, hi = self.support
-        if x <= lo or x >= hi:
-            return 0.0
-        return self.f(x)
-
-    def derivative(self, x: float) -> float:
-        lo, hi = self.support
-        if x <= lo or x >= hi:
-            return 0.0
-        return self.df(x)
+    center: float = 0.0
+    radius: float = 1.0
+    amplitude: float = 1.0
 
     @classmethod
     def standard(cls, center: float = 0.0, radius: float = 1.0, amplitude: float = 1.0) -> "BumpFunction":
-        prof, dprof = _standard_profile(radius, amplitude)
-        f = lambda x: prof(x - center)
-        df = lambda x: dprof(x - center)
-        grid = np.linspace(center - radius, center + radius, 4001)
-        sup_df = 1.05 * max(abs(df(float(x))) for x in grid)
-        return cls((center - radius, center + radius), f, df, abs(amplitude), sup_df)
+        return cls(center, radius, amplitude)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.center - self.radius, self.center + self.radius)
+
+    def __call__(self, x: float) -> float:
+        c, r = self.center, self.radius
+        u = x - c
+        if x <= c - r or x >= c + r or abs(u) >= r:
+            return 0.0
+        w = 1.0 - (u * u) / (r * r)
+        return self.amplitude * math.exp(1.0 - 1.0 / w)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The bump at every point of ``x``, as __call__ but in numpy."""
+        lo, hi = self.support
+        u = x - self.center
+        inside = (x > lo) & (x < hi) & (np.abs(u) < self.radius)
+        w = 1.0 - (u[inside] * u[inside]) / (self.radius * self.radius)
+        out = np.zeros(np.shape(x))
+        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / w)
+        return out
+
+    def derivative(self, x: float) -> float:
+        f = self(x)
+        if f == 0.0:
+            return 0.0
+        u = x - self.center
+        r2 = self.radius * self.radius
+        w = 1.0 - (u * u) / r2
+        return f * (-2.0 * u / (r2 * w * w))
+
+    @property
+    def sup_f(self) -> float:
+        return abs(self.amplitude)
+
+    @functools.cached_property
+    def sup_df(self) -> float:
+        grid = np.linspace(*self.support, 4001)
+        return 1.05 * max(abs(self.derivative(float(x))) for x in grid)
 
 
 @dataclass

@@ -26,6 +26,18 @@ def test_count_and_determinism(tmp_path):
     assert _read(out1 / "count_E1.json") == _read(out3 / "count_E1.json")
 
 
+def test_shorter_artifact_overwrites_longer(tmp_path):
+    # artifacts are rewritten in place and cut to their new length
+    base = ["count", "--model", "E1", "--S", "inf"]
+    assert main([*base, "--B-grid", "10,100,1000,10000", "--out", str(tmp_path / "a")]) == 0
+    long_json = _read(tmp_path / "a" / "count_E1.json")
+    assert main([*base, "--B", "10", "--out", str(tmp_path / "a")]) == 0
+    assert main([*base, "--B", "10", "--out", str(tmp_path / "fresh")]) == 0
+    for name in ("count_E1.json", "count_E1.csv"):
+        assert _read(tmp_path / "a" / name) == _read(tmp_path / "fresh" / name)
+    assert len(_read(tmp_path / "a" / "count_E1.json")) < len(long_json)
+
+
 def test_exact_B(tmp_path):
     # B is read as an exact rational: 1e23 as a float is 99999999999999991611392
     for B, N, B_float in (("1e23", 2 * 10**23 + 1, 1e23), ("7/2", 7, 3.5)):

@@ -195,6 +195,18 @@ def test_bump_bounds_spot_check():
     assert max(abs(bump.derivative(float(x))) for x in xs) <= bump.sup_df
 
 
+def test_bump_values_match_scalar():
+    # the numpy evaluator against __call__, also on and next to the edges
+    for c, rad, amp in ((0.0, 1.0, 1.0), (0.3, 1.5, 2.0), (1.0, 0.75, 0.7)):
+        bump = BumpFunction.standard(c, rad, amp)
+        lo, hi = bump.support
+        edges = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo), c]
+        xs = np.concatenate([np.linspace(lo - 0.1, hi + 0.1, 2001), edges])
+        want = np.array([bump(float(x)) for x in xs])
+        assert np.all(np.abs(bump.values(xs) - want) <= 2 * np.spacing(want))
+        assert want[-1] == amp and want[-5:-1].max() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Tate integrals
 

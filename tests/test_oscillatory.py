@@ -18,7 +18,9 @@ from heightzeta.localfield import (
     psi,
     quad_complex,
 )
+from heightzeta import oscillatory
 from heightzeta.oscillatory import (
+    _tabulated_transform,
     coset_phase_integral,
     decay_report,
     dyadic_partition_bump,
@@ -315,25 +317,59 @@ def test_osc_nd_real_odd_offcentre_vs_tensor_gauss():
 
 def test_osc_nd_real_3d_vs_tensor_gauss():
     # int |x|^{s1-1} |y|^{s2-1} |z|^{s3-1} e^{-2 pi i a x y^2 z^2} phi(x)
-    # phi(y) phi(z) for the centred bump.  Its rule takes each |r| twice
-    # with equal weights, so the y and z sums fold onto the positive nodes
-    # and the x sum becomes a cosine sum
+    # phi(y) phi_3(z) for the centred bump phi, with phi_3 the centred bump
+    # or the bump on (0.25, 1.75).  The centred rule takes each |r| twice
+    # with equal weights, so its sums fold onto the positive nodes and the
+    # x sum becomes a cosine sum.  The rule for (0.25, 1.75) starts at 0 and
+    # needs more nodes per panel
     a, d, s = 2.0, (1, 2, 2), (1.2, 1.1, 1.3)
 
-    def tensor(nodes: int) -> float:
-        (x, wx), (y, wy), (z, wz) = (_axis_rule(sj, a, nodes, panels=24, depth=30) for sj in s)
-        n = len(x) // 2
-        x, wx, y, wy, z, wz = x[:n], 2 * wx[:n], y[:n], 2 * wy[:n], z[:n], 2 * wz[:n]
+    def tensor(nodes, zbump) -> float:
+        bumps = ((0.0, 1.0), (0.0, 1.0), zbump)
+        rules = [_axis_rule(sj, a, m, *b, panels=24, depth=30) for sj, b, m in zip(s, bumps, nodes)]
+        (x, wx), (y, wy), (z, wz) = ((r[: len(r) // 2], 2 * w[: len(r) // 2]) if b == (0.0, 1.0) else (r, w) for (r, w), b in zip(rules, bumps))
         t, wt = np.outer(y**2, z**2).ravel(), np.outer(wy, wz).ravel()
         rows = zip(np.array_split(x, 16), np.array_split(wx, 16))
         return math.fsum(wc @ (np.cos(2.0 * np.pi * a * np.outer(xc, t)) @ wt) for xc, wc in rows)
 
-    ref = tensor(6)
-    assert abs(ref - tensor(5)) < 1e-9 * abs(ref)
-    got = osc_integral_nd(R, (BumpFunction.standard(),) * 3, a, d, s)
-    dev = abs(got.value - ref)
-    assert dev <= 1e-8 * abs(ref), (got, ref)
-    assert got.error >= dev
+    for zbump, nodes in (((0.0, 1.0), ((6,) * 3, (5,) * 3)), ((1.0, 0.75), ((6, 6, 10), (5, 5, 8)))):
+        ref = tensor(nodes[0], zbump)
+        assert abs(ref - tensor(nodes[1], zbump)) < 1e-9 * abs(ref)
+        phis = (BumpFunction.standard(),) * 2 + (BumpFunction.standard(*zbump),)
+        got = osc_integral_nd(R, phis, a, d, s)
+        dev = abs(got.value - ref)
+        assert dev <= 1e-8 * abs(ref), (zbump, got, ref)
+        assert got.error >= dev
+
+
+def test_inner_table_vs_reference():
+    # the innermost coordinate of an n-d value is one Gauss-Legendre table
+    # per call: it must hold its error estimate against the in-test rule
+    # and agree with the adaptive 1-d value within the two estimates, on
+    # supports that contain 0, miss it, or reach further on one side, at
+    # both parities of d
+    for (c, rad), d in (((0.0, 1.0), 2), ((0.3, 1.5), 1), ((-0.2, 0.8), 3), ((1.0, 0.75), 3)):
+        bump = BumpFunction.standard(c, rad)
+        for s in (0.3, 1.15, 1.1 + 2j):
+            transform = _tabulated_transform(bump, d, complex(s))
+            for w in (0.0, 3.7, -41.0, 250.0, 1000.0):
+                val, err = transform(w)
+                ref = _osc_real_reference(c, rad, w, d, s)
+                assert err >= abs(val - ref), (c, rad, d, s, w, val, ref, err)
+                one_d = osc_integral_1d(R, bump, w, d, s)
+                assert abs(val - one_d.value) <= one_d.error + err, (c, rad, d, s, w, val, one_d)
+
+
+def test_osc_nd_real_above_table_cap(monkeypatch):
+    # inner frequencies a y^2 above the table's panel cap go to the adaptive
+    # 1-d machinery; pinned to the value computed with it at every frequency
+    calls = []
+    real_1d = oscillatory._osc_real_1d
+    monkeypatch.setattr(oscillatory, "_osc_real_1d", lambda *args: calls.append(args[1]) or real_1d(*args))
+    bump = BumpFunction.standard()
+    got = osc_integral_nd(R, (bump, bump), 1e4, (1, 2), (1, 1))
+    assert abs(got.value - 0.015264074073573353) <= 1e-9 * 0.015264074073573353
+    assert calls and min(abs(w) for w in calls) > 1000.0
 
 
 def _radial_bump_reference(A: float, d: int, s: float, panels: int) -> tuple[float, float]:
