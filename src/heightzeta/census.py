@@ -2,17 +2,11 @@
 volumes, log-power asymptotic fits, the Poisson-summation cross-check,
 and equidistribution tables.
 
-Every catalog height zeta function factors into one-dimensional ones, so
-N(B) is a Dirichlet convolution of simple height counts, and counting
-runs on n = floor(B) (floor(B/h^k) = floor(n/h^k) for integer h).  Two
-exact primitives cover the catalog: the product convolution
-sum_h (C_X(h) - C_X(h-1)) A_Y(floor(n/h^k)), summed over blocks of h with
-equal floor(n/h^k) (E1, E2, E4, E5), and the joint-max Moebius sum over
-common denominators F <= T of pairs of numerators not both divisible by
-a prime of F (E3, E6).  Everything is Python integer arithmetic, with
-int64 only where the budget bounds the values, so no point near the
-boundary is ever miscounted and the result does not depend on a thread
-count.
+A model is a product of blocks P^k, so N(B) is a Dirichlet convolution of
+one height count per block on n = floor(B): S-unit sums for a removed
+block, a Moebius sum for a kept one.  One block is Python integer
+arithmetic, a convolution int64 arrays where the budget bounds every
+value, so no point is miscounted and no result depends on a thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +16,8 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 from typing import Callable, Sequence
 
@@ -33,7 +29,7 @@ from .density import arch_density, fourier_finite, s_vector
 from .errors import BudgetExceededError, ConfigError, NumericError
 from .localfield import Place, prime_factors, primes_upto
 
-NODE_CAP = 200_000_000  # hard budget on the _WORK proxy of one count
+NODE_CAP = 3_000_000  # budget of one count job, in steps of 0.2 to 2 us (2 vCPUs)
 
 
 @dataclass
@@ -74,8 +70,12 @@ class PoissonCheck:
 # exact integer arithmetic
 
 
-def iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for integers n >= 0 and k >= 1, without floats."""
+def iroot(n, k: int):
+    """floor(n^(1/k)) for integers n >= 0 and k >= 1, without floats; on an
+    int64 array, the float root corrected by one step."""
+    if isinstance(n, np.ndarray) and k > 1:
+        r = np.floor(n ** (1.0 / k)).astype(np.int64)
+        return r - (r**k > n) + ((r + 1) ** k <= n)
     if k == 2:
         return isqrt(n)
     if k == 1 or n < 2:
@@ -123,18 +123,12 @@ def _mobius_sum(T: int, f: Callable[[int], int]) -> int:
     return P[T]
 
 
-def _divisor_sum(n: int) -> int:
-    """D(n) = sum_{h <= n} floor(n/h) by the hyperbola method."""
-    r = isqrt(n)
-    return 2 * sum(n // h for h in range(1, r + 1)) - r * r
-
-
 # ---------------------------------------------------------------------------
 # height counts and their convolutions
 
 
-def _sf_primes(S: Sequence[Place]) -> list[int]:
-    return sorted(v.prime for v in S if v.is_finite)
+def _sf_primes(S: Sequence[Place]) -> tuple[int, ...]:
+    return tuple(sorted(v.prime for v in S if v.is_finite))
 
 
 def _s_power_denoms(primes: list[int], bound: Fraction | int) -> list[tuple[int, tuple[int, ...]]]:
@@ -161,23 +155,19 @@ class _SUnits:
         groups: dict[tuple[int, ...], list[int]] = {}
         for e, supp in _s_power_denoms(primes, n):
             groups.setdefault(supp, []).append(e)
-        self._groups = []
-        for supp, es in groups.items():
-            divs = [(1, 1)]
-            for p in supp:
-                divs += [(d * p, -mu) for d, mu in divs]
-            self._groups.append((es, divs))
+        self._groups = [
+            (es, [(math.prod(c), (-1) ** r) for r in range(len(supp) + 1) for c in combinations(supp, r)])
+            for supp, es in groups.items()
+        ]
 
-    def count(self, q: int, j: int = 1) -> int:
-        """sum_{e <= q} sum_{d | rad e} mu(d) (2 floor(q/d) + 1)^j.  For j = 1
-        this is A_S(q), the number of x = m/e in Z[1/S] of height
-        max(e, |m|) <= q; for j = 2 it is the number of (e, a, b) with
-        max(e, |a|, |b|) <= q and no prime of e dividing both a and b."""
+    def count(self, q, j: int = 1):
+        """sum_{e <= q} sum_{d | rad e} mu(d) (2 floor(q/d) + 1)^j, the points of
+        Z[1/S]^j of height max(e, |m_i|) <= q, e their common denominator
+        (A_S(q) for j = 1), at an int or at each entry of an int64 array."""
         total = 0
         for es, divs in self._groups:
-            c = bisect_right(es, q)
-            if c:
-                total += c * sum(mu * (2 * (q // d) + 1) ** j for d, mu in divs)
+            c = bisect_right(es, q) if isinstance(q, int) else np.asarray(es).searchsorted(q, "right")
+            total += c * sum(mu * (2 * (q // d) + 1) ** j for d, mu in divs)
         return total
 
 
@@ -191,50 +181,78 @@ def count_sintegers(B: Fraction, primes: list[int]) -> int:
     return _SUnits(primes, n).count(n)
 
 
-def _convolve(n: int, k: int, C_X: Callable[[int], int], A_Y: Callable[[int], int]) -> int:
-    """sum_{h >= 1} (C_X(h) - C_X(h-1)) A_Y(floor(n/h^k)) with C_X(0) = 0:
-    the points (x, y) with H(x)^k H(y) <= n, given the cumulative height
-    counts of x and y, summed over blocks of h with equal floor(n/h^k)."""
-    total, h, below = 0, 1, 0
-    while h**k <= n:
-        q = n // h**k
-        top = iroot(n // q, k)  # the last h with floor(n/h^k) = q
-        at = C_X(top)
-        total += (at - below) * A_Y(q)
-        below, h = at, top + 1
-    return total
+def _kept_table(T: int, k: int) -> np.ndarray:
+    """#P^k(Q) of height <= h for h = 0..T: sum_j c_j J_j(m) points have height
+    m, c_j the coefficients of m (2m + 1)^k - (m - 1)(2m - 1)^k (4 Phi - 1 if k = 1)."""
+    up = [math.comb(k, i) << i for i in range(k + 1)]  # (2m + 1)^k = sum_i up_i m^i
+    c = [(-1) ** (k - j) * up[j] + (1 + (-1) ** (k - j)) * up[j - 1] for j in range(1, k + 1)]
+    g = sum(cj * _jordan_upto(T, j) for j, cj in enumerate(c, 1))
+    g[1] += (-1) ** k  # c_0 J_0, J_0(m) = [m = 1]
+    return np.cumsum(g)
 
 
-def _count(model_id: str, n: int, primes: list[int]) -> int:
-    """N(B) for n = floor(B) >= 1.  Rational coordinates (E2, E4's x, E6)
-    are integral everywhere, so the finite places of S do not enter."""
-    if model_id == "E2":  # C_Q(sqrt n), C_Q(h) = 4 Phi(h) - 1
-        return 4 * int(_jordan_upto(isqrt(n), 1).sum()) - 1
-    if model_id == "E6":  # every F <= T is a denominator: t (2t + 1)^2 pairs per d
-        return _mobius_sum(iroot(n, 3), lambda t: t * (2 * t + 1) ** 2)
-    if model_id == "E5" and not primes:
-        return 4 * _divisor_sum(n) + 4 * n + 1
-    if model_id == "E3":  # common S-unit denominator F <= sqrt n
-        T = isqrt(n)
-        return _SUnits(primes, T).count(T, 2)
-    units = _SUnits(primes, n)
-    if model_id == "E1":
-        return units.count(n)
-    if model_id == "E4":
-        Phi = np.cumsum(_jordan_upto(isqrt(n), 1))
-        return _convolve(n, 2, lambda h: 4 * int(Phi[h]) - 1, units.count)
-    return _convolve(n, 1, units.count, units.count)  # E5
+def _convolve(n: int, lam: int, C_X, A_Y) -> int:
+    """sum_{h >= 1} (C_X(h) - C_X(h-1)) A_Y(floor(n/h^lam)): the points with
+    H(x)^lam H(y) <= n, from cumulative height counts mapping int64 arrays.
+    Each h <= n^(1/(lam+1)) is a term; above, one term per floor(n/h^lam)."""
+    r = iroot(n, lam + 1)
+    q = np.arange(n // (r + 1) ** lam, 0, -1, dtype=np.int64)  # floor(n/h^lam) for h > r, decreasing
+    h = np.concatenate([np.arange(r + 1, dtype=np.int64), iroot(n // q, lam)])  # 0..r, then the last h of each q
+    return int(np.diff(C_X(h)) @ A_Y(np.concatenate([n // h[1 : r + 1] ** lam, q])))
 
 
-# budget proxies in integers of n = floor(B), times 4^{#finite places}
-_WORK = {
-    "E1": lambda n: 64,
-    "E2": isqrt,
-    "E3": lambda n: 64,
-    "E4": lambda n: 2 * n,
-    "E5": lambda n: n,
-    "E6": lambda n: 8 * iroot(n, 3),
-}
+def _count(blocks: tuple, n: int, primes: tuple[int, ...]) -> int:
+    """N(B) for n = floor(B) >= 1: the points whose block heights satisfy
+    prod h_alpha^lambda_alpha <= n.  A removed P^k counts Z[1/S]^k by common
+    S-unit denominator, a kept one all of P^k(Q), integral everywhere, by
+    sum_{d <= h} mu(d) t (2t + 1)^k, t = floor(h/d).  One block is counted in
+    Python integers, more by convolving each into the count of the rest."""
+    tops = [iroot(n, lam) for _, lam, _ in blocks]
+    units = _SUnits(primes, max((T for T, b in zip(tops, blocks) if b[2]), default=0))
+    if len(blocks) == 1:
+        (k, _, removed), T = blocks[0], tops[0]
+        return units.count(T, k) if removed else _mobius_sum(T, lambda t: t * (2 * t + 1) ** k)
+    C = [(lambda h, k=k: units.count(h, k)) if rem else _kept_table(T, k).__getitem__
+         for (k, _, rem), T in zip(blocks, tops)]
+
+    def rest(i: int, q: np.ndarray) -> np.ndarray:  # the blocks i.. at each q
+        if i == len(blocks) - 1:
+            return C[i](iroot(q, blocks[i][1]))
+        return np.array([_convolve(v, blocks[i][1], C[i], lambda t: rest(i + 1, t)) for v in q.tolist()])
+
+    return _convolve(n, blocks[0][1], C[0], lambda q: rest(1, q))
+
+
+@lru_cache
+def _work(blocks: tuple, primes: tuple, n: int) -> float:
+    """The work of enumerate_points plus volume_V, read off the blocks: with
+    heights T = floor(n^(1/lambda)) and D denominators (1..T if kept, else
+    S-units, at most a simplex volume), volume_V loops over D^k tuples per
+    removed and T per kept block, both list the S-units, a lone kept block
+    is T^(3/4) Moebius steps and a convolution 3^#S array steps per point;
+    its int64 values stay below prod D (2T + 1)^k, else the work is inf."""
+    logs = [math.log(p) for p in primes]
+    tops = [iroot(n, lam) for _, lam, _ in blocks]
+    D = [(math.log(T) + sum(logs)) ** len(logs) / (math.factorial(len(logs)) * math.prod(logs)) if rem
+         else float(min(T, 2**1000)) for (_, _, rem), T in zip(blocks, tops)]
+    work = math.prod(d**k if rem else d for d, (k, _, rem) in zip(D, blocks))
+    work += 12 * max((d for d, (_, _, rem) in zip(D, blocks) if rem), default=0)
+    if len(blocks) == 1:
+        return work if blocks[0][2] else work + D[0] ** 0.75
+    if sum(math.log(d) + k * math.log(2 * T + 1) for d, T, (k, _, _) in zip(D, tops, blocks)) >= 63 * math.log(2):
+        return math.inf
+    return work + 3 ** len(logs) * math.prod(2 * n ** (1 / (lam + 1)) for _, lam, _ in blocks[:-1])
+
+
+def _check_budget(model: CompactificationModel, S: Sequence[Place], B: Fraction) -> tuple[tuple, tuple, int]:
+    """The blocks (k, lambda, removed) of each factor P^k by decreasing
+    lambda, the primes of S and n = floor(B), if their _work is in NODE_CAP."""
+    div, primes, n = model.divisors, _sf_primes(S), max(math.floor(B), 1)
+    blocks = tuple(sorted(((len(model.norm_coords[a]), div.lam(a), a in div.removed) for a in div.labels),
+                          key=lambda b: -b[1]))
+    if _work(blocks, primes, n) > NODE_CAP:
+        raise BudgetExceededError(f"B = {_shown(B)} exceeds the count budget for {model.id}")
+    return blocks, primes, n
 
 
 def enumerate_points(model: CompactificationModel, S: Sequence[Place], B, threads: int = 1) -> int:
@@ -245,11 +263,8 @@ def enumerate_points(model: CompactificationModel, S: Sequence[Place], B, thread
     B = Fraction(B)
     if B < 1:
         return 0
-    n = math.floor(B)
-    primes = _sf_primes(S)
-    if _WORK[model.id](n) * 4 ** len(primes) > NODE_CAP:
-        raise BudgetExceededError(f"B = {_shown(B)} exceeds the enumeration budget for {model.id}")
-    return _count(model.id, n, primes)
+    blocks, primes, n = _check_budget(model, S, B)
+    return _count(blocks, n, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +285,23 @@ def _float_B(B) -> float:
 
 
 def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
-    """Adelic volume of the height ball H <= B (integral off S).  All
-    catalog cases reduce to closed forms combined with exact sums over
-    finite-place denominator profiles: the points with S-unit denominator
-    e have finite-place volume phi(e), and the pairs with common
-    denominator d in E6 have J_2(d)."""
+    """Adelic volume of the height ball H <= B (integral off S): closed forms
+    over finite-place denominators, phi(e) for an S-unit e and J_2(d) for E6's
+    common d.  Per model, since a sum read off the blocks would add other
+    floats in another order, and the volumes are pinned to the bit."""
     B = Fraction(B)
     Bf = _float_B(B)
     if Bf < 1:
         return 0.0
-    mid = model.id
+    _check_budget(model, S, B)
+    mid, n = model.id, math.floor(B)
     if mid == "E2":
         T = math.sqrt(Bf)
         ds = np.arange(1, int(T) + 1)
         phis = _jordan_upto(int(T), 1)[1:].astype(float)
         return 2.0 * T * float(np.sum(phis / ds))
     if mid == "E6":
-        T = iroot(math.floor(B), 3)
+        T = iroot(n, 3)
         J2 = _jordan_upto(T, 2).tolist()
         total = 0.0
         for d in range(1, T + 1):
@@ -294,10 +309,10 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
             if t >= 1.0:
                 total += J2[d] * 4.0 * t * t
         return total
-    # phi(e) = (e / rad e) prod_{p | e} (p - 1), from the prime support of e
+    # phi(e) from the prime support of e; E3's F = lcm(e1, e2) needs e^2 <= B
     denoms = [
         (e, e // math.prod(supp) * math.prod(p - 1 for p in supp))
-        for e, supp in _s_power_denoms(_sf_primes(S), B)
+        for e, supp in _s_power_denoms(_sf_primes(S), isqrt(n) if mid == "E3" else n)
     ]
     if mid == "E1":
         return 2.0 * Bf * sum(phi / e for e, phi in denoms)
@@ -307,7 +322,7 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
         for e1, phi1 in denoms:
             for e2, phi2 in denoms:
                 F = math.lcm(e1, e2)
-                if F * F <= B:
+                if F * F <= n:
                     total += phi1 * phi2 * 4.0 * Bf / (F * F)
         return total
     if mid == "E5":
@@ -315,8 +330,9 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
         for e1, phi1 in denoms:
             for e2, phi2 in denoms:
                 T = Bf / (e1 * e2)
-                if T >= 1.0:
-                    total += phi1 * phi2 * (4.0 * T + 4.0 * T * math.log(T))
+                if T < 1.0:  # and for every later e2
+                    break
+                total += phi1 * phi2 * (4.0 * T + 4.0 * T * math.log(T))
         return total
     if mid == "E4":
         total = 0.0
@@ -325,8 +341,9 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
         for e, phi in denoms:
             for d in range(1, T + 1):
                 Teff = Bf / (d * d * e)
-                if Teff >= 1.0:
-                    total += phis[d - 1] * phi * (8.0 * Teff - 4.0 * math.sqrt(Teff))
+                if Teff < 1.0:  # and for every later d
+                    break
+                total += phis[d - 1] * phi * (8.0 * Teff - 4.0 * math.sqrt(Teff))
         return total
     raise ConfigError(f"volume_V does not support {mid}")
 
@@ -338,7 +355,8 @@ def count_table(model, S, Bs, threads: int = 1, with_volume: bool = True) -> Cou
         N = enumerate_points(model, S, B, threads)
         V = volume_V(model, S, B) if with_volume else float("nan")
         table.add(B, N, V, time.perf_counter() - t0)
-    for r1, r2 in zip(table.rows, table.rows[1:]):
+    rows = sorted(table.rows, key=lambda r: r["B"])
+    for r1, r2 in zip(rows, rows[1:]):
         if r2["N"] < r1["N"]:
             raise NumericError(
                 f"counts must be nondecreasing in B: N({r1['B']:g}) = {r1['N']} > N({r2['B']:g}) = {r2['N']}"

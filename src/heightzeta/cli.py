@@ -60,6 +60,8 @@ class ExperimentConfig:
         # comparison also refuses nan and stays exact for a Fraction
         if not all(1 <= B < 2**1024 for B in Bs):
             raise ConfigError(f"B must be finite and >= 1: {', '.join(map(str, Bs))}")
+        if any(b < a for a, b in zip(self.B_grid, self.B_grid[1:])):
+            raise ConfigError(f"B-grid must be nondecreasing: {', '.join(map(str, self.B_grid))}")
         if not math.isfinite(self.s):
             raise ConfigError(f"s must be finite: {self.s}")
         if self.b is not None and self.b < 1:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -7,7 +8,7 @@ import pytest
 from scipy.special import zeta as riemann_zeta
 
 from heightzeta import census
-from heightzeta.catalog import get_model
+from heightzeta.catalog import CompactificationModel, get_model
 from heightzeta.census import (
     count_sintegers,
     count_table,
@@ -172,6 +173,162 @@ def test_count_E3_with_finite_place():
             if (math.lcm(d1, d2) * max(1, abs(x), abs(y))) ** 2 <= B
         )
         assert enumerate_points(m, _places(primes), B) == brute
+
+
+def _block_brute(model, primes, B):
+    """N(B) by the catalog height: every point x with height_base(x) <= B.
+    A block of height <= T = floor(B^(1/lambda)) has coordinates m/e with
+    |m|, e <= T, e an S-unit if the block is removed; the blocks are
+    combined while the product of their heights (each on its own, the
+    other coordinates 0) stays <= B."""
+    div = model.divisors
+    per_block = []
+    for alpha, idx in model.norm_coords.items():
+        T = census.iroot(math.floor(B), div.lam(alpha))
+        dens = _s_units(primes, T) if alpha in div.removed else range(1, T + 1)
+        pts = {tuple(F(m, e) for m in ms) for e in dens for ms in itertools.product(range(-T, T + 1), repeat=len(idx))}
+        found = []
+        for pt in pts:
+            x = [F(0)] * model.dim
+            for i, v in zip(idx, pt):
+                x[i] = v
+            h = model.height_base(tuple(x))
+            if h <= B:
+                found.append((h, dict(zip(idx, pt))))
+        per_block.append(found)
+
+    def extend(i, h, coords):
+        if i == len(per_block):
+            x = tuple(coords[j] for j in range(model.dim))
+            return int(model.height_base(x) <= B)
+        return sum(extend(i + 1, h * hb, {**coords, **c}) for hb, c in per_block[i] if h * hb <= B)
+
+    return extend(0, F(1), {})
+
+
+def test_count_block_models():
+    """Models outside the catalog, three blocks or a kept P^2 under a
+    convolution, against the brute force through height_base."""
+    T3 = {"Dx": (0,), "Dy": (1,), "Dz": (2,)}
+    cases = [
+        (CompactificationModel("T3", T3, removed={"Dx", "Dy", "Dz"}), (), (10, 60)),
+        (CompactificationModel("T3", T3, removed={"Dy", "Dz"}), (), (40,)),
+        (CompactificationModel("T3", T3, removed={"Dz"}), (), (40,)),
+        (CompactificationModel("P2xP1", {"H": (0, 1), "D": (2,)}, removed={"D"}), (), (100,)),
+        (CompactificationModel("T3", T3, removed={"Dx", "Dy", "Dz"}), (5,), (20,)),
+    ]
+    for model, primes, Bs in cases:
+        for B in Bs:
+            got = enumerate_points(model, _places(primes), B)
+            assert type(got) is int
+            assert got == _block_brute(model, primes, B), (model.id, sorted(model.divisors.removed), primes, B)
+    T3all = cases[0][0]
+    assert [enumerate_points(T3all, R, B) for B in (10, 100, 400)] == [809, 18153, 105561]
+
+
+# exact counts of the per-model counters that the block engine replaced, at
+# five log-spaced B up to the lower of their budget limit and the present
+# one (1e30 for E1 and E3, which had none)
+PARENT_COUNTS = {
+    ('E1', ()): [
+        (1000000, 2000001), (1000000000000, 2000000000001), (1000000000000000000, 2000000000000000001),
+        (1000000000000000000000000, 2000000000000000000000001),
+        (1000000000000000000000000000000, 2000000000000000000000000000001)
+    ],
+    ('E1', (5,)): [
+        (1000000, 14800001), (1000000000000, 29200000000001), (1000000000000000000, 42000000000000000001),
+        (1000000000000000000000000, 56400000000000000000000001),
+        (1000000000000000000000000000000, 69200000000000000000000000000001)
+    ],
+    ('E1', (2, 3)): [
+        (1000000, 110333269), (1000000000000, 386999999999705), (1000000000000000000, 830999999999999999305),
+        (1000000000000000000000000, 1441666666666666666666665407),
+        (1000000000000000000000000000000, 2218333333333333333333333333331341)
+    ],
+    ('E2', ()): [
+        (251, 287), (63095, 77095), (15848931, 19274207), (3981071705, 4840390831), (1000000000000, 1215854209567)
+    ],
+    ('E2', (5,)): [
+        (251, 287), (63095, 77095), (15848931, 19274207), (3981071705, 4840390831), (1000000000000, 1215854209567)
+    ],
+    ('E2', (2, 3)): [
+        (251, 287), (63095, 77095), (15848931, 19274207), (3981071705, 4840390831), (1000000000000, 1215854209567)
+    ],
+    ('E3', ()): [
+        (1000000, 4004001), (1000000000000, 4000004000001), (1000000000000000000, 4000000004000000001),
+        (1000000000000000000000000, 4000000000004000000000001),
+        (1000000000000000000000000000000, 4000000000000004000000000000001)
+    ],
+    ('E3', (5,)): [
+        (1000000, 19376801), (1000000000000, 34720029600001), (1000000000000000000, 50080000042400000001),
+        (1000000000000000000000000, 69280000000058400000000001),
+        (1000000000000000000000000000000, 84640000000000071200000000000001)
+    ],
+    ('E3', (2, 3)): [
+        (1000000, 116408673), (1000000000000, 397000231333345), (1000000000000000000, 843000000470000000017),
+        (1000000000000000000000000, 1460555555556351777777777801),
+        (1000000000000000000000000000000, 2242555555555556758444444444444473)
+    ],
+    ('E4', ()): [(39, 497), (1584, 34311), (63095, 1934281), (2511886, 99468299), (100000000, 4856191655)],
+    ('E4', (5,)): [(30, 707), (910, 49827), (27464, 2725263), (828613, 132716541), (25000000, 5833195367)],
+    ('E4', (2, 3)): [(22, 909), (514, 80561), (11665, 4282733), (264558, 189510615), (6000000, 7377918943)],
+    ('E5', ()): [(45, 909), (2091, 73641), (95635, 4828841), (4373448, 287694301), (200000000, 16214609033)],
+    ('E5', (5,)): [(34, 1725), (1201, 215637), (41627, 18250965), (1442699, 1250794641), (50000000, 77272524249)],
+    ('E5', (2, 3)): [(23, 3041), (547, 514105), (12795, 45701537), (299280, 3028286069), (7000000, 165712491061)],
+    ('E6', ()): [
+        (6309, 20329), (39810717, 132502793), (251188643150, 835798032825), (1584893192461113, 5273942776823481),
+        (10000000000000000000, 33276279932405060857)
+    ],
+    ('E6', (5,)): [
+        (6309, 20329), (39810717, 132502793), (251188643150, 835798032825), (1584893192461113, 5273942776823481),
+        (10000000000000000000, 33276279932405060857)
+    ],
+    ('E6', (2, 3)): [
+        (4959, 17761), (24595094, 81436585), (121975540946, 405908961041), (604918691098299, 2012967477546849),
+        (3000000000000000000, 9982886948364100641)
+    ],
+}
+
+
+def test_counts_pinned_to_parent():
+    for (mid, primes), rows in PARENT_COUNTS.items():
+        for B, N in rows:
+            got = enumerate_points(get_model(mid), _places(primes), B)
+            assert type(got) is int
+            assert got == N, (mid, primes, B)
+
+
+def test_count_at_budget_limit():
+    """E5 at the largest n the budget accepts, against 4 D(n) + 4n + 1 with
+    D(n) = sum_{h <= n} floor(n/h) by the hyperbola method."""
+    m = get_model("E5")
+    lo, hi = 1, 2**40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            census._check_budget(m, R, mid)
+            lo = mid
+        except BudgetExceededError:
+            hi = mid
+    r = math.isqrt(lo)
+    D = 2 * sum(lo // h for h in range(1, r + 1)) - r * r
+    assert enumerate_points(m, R, lo) == 4 * D + 4 * lo + 1
+    with pytest.raises(BudgetExceededError):
+        enumerate_points(m, R, lo + 1)
+
+
+def test_budget_reads_denominators():
+    """Many S-units or a kept block's sieve are refused before any list is
+    built; a single removed block with few S-units has no limit."""
+    S2357 = _places((2, 3, 5, 7))
+    for mid in ("E1", "E3"):
+        with pytest.raises(BudgetExceededError):
+            enumerate_points(get_model(mid), S2357, 10**60)
+        with pytest.raises(BudgetExceededError):
+            volume_V(get_model(mid), S2357, 10**60)
+    with pytest.raises(BudgetExceededError):
+        volume_V(get_model("E2"), R, 10**16)
+    assert enumerate_points(get_model("E3"), S5, 10**300) > 0
 
 
 def test_count_monotone_and_table():

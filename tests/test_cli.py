@@ -158,11 +158,14 @@ def test_error_exit_codes(tmp_path):
         ["--B", f"{2**1024}/1"], ["--B", "7/0"], ["--B", "1e-999999999"],
     ):
         assert main(["count", "--model", "E1", "--S", "inf", *flag, "--out", str(tmp_path)]) == 2, flag
-    # so are a negative prime cutoff, a negative A and a B-grid value below 1
+    # so are a negative prime cutoff, a negative A, a B-grid value below 1
+    # and a B-grid with a decreasing step
     for argv in (
         ["theta", "--model", "E1", "--prime-cutoff", "-1"],
         ["poisson", "--model", "E1", "--s", "3", "--A", "-3"],
         ["fit", "--model", "E1", "--S", "inf", "--B-grid", "0.5,2,3,4,5"],
+        ["count", "--model", "E1", "--S", "inf", "--B-grid", "100,10"],
+        ["fit", "--model", "E1", "--S", "inf", "--B-grid", "100,10,1000,20,30"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 2, argv
     # and so are a place that is not a prime, a malformed test function and
