@@ -99,7 +99,7 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
             continue
         # scaled in float before it turns complex: a count of q^dim gives exactly 1
         term = (np.broadcast_to(cnt, q.shape) / qdim).astype(complex)
-        for alpha in A:
+        for alpha in (a for a in model.divisors.labels if a in A):
             w = smap[alpha] - model.divisors.rho_of(alpha) + 1
             denom = np.exp(w * lnq) - 1.0
             pole = np.abs(denom) < 1e-13
@@ -604,7 +604,7 @@ def tau_max_boundary(model, place: Place) -> float:
     cv = residue_c(place)
     uv = 1.0 if place.is_archimedean else 1.0 - 1.0 / place.prime
     mass = 1.0
-    for alpha in removed:
+    for alpha in (a for a in model.divisors.labels if a in removed):
         mass *= cv * uv / (model.divisors.rho_of(alpha) - 1)
     if len(removed) < model.dim:
         mass *= _line_mass(place, 2)

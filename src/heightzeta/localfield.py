@@ -18,6 +18,9 @@ vol(a*E) = |a| vol(E) holds at every place.  The multiplicative measure is
 dx/|x| at archimedean places and (1 - 1/q)^{-1} dx/|x| at finite places.
 The additive character is psi(x) = e^{2 pi i x_p} at Q_p (x_p the p-power
 fractional part), e^{-2 pi i x} on R and e^{-4 pi i Re(x)} on C.
+Tate integrals and archimedean Fourier transforms are
+``oscillatory.osc_integral_1d`` at special arguments (a = 0, d = 1, and
+d = s = 1), imported at call time since that module imports this one.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import hankel1e, j0
 
-from .errors import NonconvergentError, PoleError
+from .errors import PoleError
 
 TWO_PI = 2.0 * math.pi
 
@@ -614,50 +617,17 @@ def radial_j0_integral(g, R: float, X: float, d: int = 1, *, epsrel: float = 1e-
 
 
 def tate_integral(place: Place, phi, s) -> complex:
-    """zeta(Phi, |.|^s) = integral of Phi(x) |x|^s d^x.  Exact (finite sum
-    plus geometric tail) for a StepFunction at a finite place; adaptive
-    quadrature for a bump at an archimedean place.  Requires Re(s) > 0."""
-    s = complex(s)
-    if s.real <= 0:
-        raise NonconvergentError("tate_integral requires Re(s) > 0")
-    if place.is_finite:
-        if not isinstance(phi, StepFunction) or phi.p != place.prime:
-            raise ValueError("finite-place Tate integrals take a StepFunction at the same prime")
-        return _tate_finite(phi, s)
-    if place.kind == "real":
-        lo, hi = phi.support
-        f = lambda x: phi(x) * (abs(x) ** (s - 1.0) if x != 0 else 0.0)
-        pts = [0.0] if lo < 0.0 < hi else None
-        val, _err = quad_complex(f, lo, hi, points=pts)
-        return val
-    # complex place: dz = 2 dA, so 4 pi int_0^R r^{2s-1} Phi(r) dr
-    g = lambda r: 4.0 * math.pi * r ** (2.0 * s - 1.0) * phi.profile(r)
-    val, _err = radial_j0_integral(g, phi.radius, 0.0)
-    return val
+    """zeta(Phi, |.|^s) = integral of Phi(x) |x|^s d^x, which is
+    ``osc_integral_1d`` at a = 0, d = 1, divided by 1 - 1/q at a finite
+    place since d^x = (1 - 1/q)^{-1} dx/|x| there.  Exact for a
+    StepFunction at a finite place.  Requires Re(s) > 0."""
+    from .oscillatory import osc_integral_1d
 
-
-def _tate_finite(phi: StepFunction, s: complex) -> complex:
-    p = phi.p
-    lnp = math.log(p)
-    m = phi.level
-    parts = []
-    # nonzero classes lie each in a single valuation shell
-    ctx = padic(p)
-    vol_class = Fraction(1, p**m)
-    for rep, v in phi.classes():
-        if rep == 0:
-            continue
-        k = ctx.valuation(rep)
-        # d^x = (1-1/q)^{-1} dx/|x|; on the shell |x| = p^{-k} this weights
-        # the class volume by (1-1/p)^{-1} p^{k}
-        w = float(vol_class) * p**k / (1.0 - 1.0 / p)
-        parts.append(v * w * cmath.exp(-k * s * lnp))
-    total = sum(parts, 0j)
-    # the zero class covers the shells k >= m with constant value phi(0)
-    v0 = phi.value_at(0)
-    if v0 != 0:
-        total += v0 * cmath.exp(-m * s * lnp) / (1.0 - cmath.exp(-s * lnp))
-    return total
+    if place.is_archimedean:
+        return osc_integral_1d(place, phi, 0, 1, s).value
+    if not isinstance(phi, StepFunction) or phi.p != place.prime:
+        raise ValueError("finite-place Tate integrals take a StepFunction at the same prime")
+    return osc_integral_1d(place, phi, 0, 1, s).value / (1.0 - 1.0 / place.prime)
 
 
 # ---------------------------------------------------------------------------
@@ -665,21 +635,16 @@ def _tate_finite(phi: StepFunction, s: complex) -> complex:
 
 
 class ArchFourierTransform:
-    """Numeric Fourier transform of an archimedean test function."""
+    """The Fourier transform of an archimedean test function: ``osc_integral_1d`` at d = s = 1."""
 
     def __init__(self, place: Place, phi):
         self.place = place
         self.phi = phi
 
     def __call__(self, a) -> complex:
-        if self.place.kind == "real":
-            lo, hi = self.phi.support
-            val, _ = quad_oscillatory(lambda x: complex(self.phi(x)), lo, hi, TWO_PI * float(a))
-            return val
-        # complex place: int Phi(z) psi(az) dz = 4 pi int_0^R r Phi(r) J_0(4 pi |a| r) dr
-        g = lambda r: 4.0 * math.pi * r * self.phi.profile(r)
-        val, _ = radial_j0_integral(g, self.phi.radius, 4.0 * math.pi * abs(complex(a)))
-        return val
+        from .oscillatory import osc_integral_1d
+
+        return osc_integral_1d(self.place, self.phi, a, 1, 1).value
 
 
 def fourier_test_fn(place: Place, phi):

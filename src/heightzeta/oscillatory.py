@@ -5,7 +5,9 @@ into multiplicative shells, each unit-shell character sum is a finite sum
 of roots of unity with exact rational phases, and the remaining small ball
 is an exact geometric tail.  Shell sums exploit the classical vanishing
 lemma for  int_{xi + p^n Z_p} psi(a x^d) dx,  which lets the enumeration
-stop at residue depth ~ log_p|a|/2 instead of log_p|a|.
+stop at residue depth ~ log_p|a|/2 instead of log_p|a|.  On Z_p^n the
+integral is the same recursion over coordinates as on R^n below, each
+level cached by the phase through which the inner coordinates see it.
 
 Archimedean integrals are adaptive quadrature: the domain is split at
 eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
@@ -183,6 +185,8 @@ def _unit_shell_integral(
 
 
 def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex) -> OscillatoryResult:
+    if not any(phi.table.values()):
+        return OscillatoryResult(0j, exact=True)
     p = phi.p
     ctx = padic(p)
     a = Fraction(a)
@@ -285,70 +289,55 @@ def osc_integral_1d(place: Place, phi, a, d: int, s) -> OscillatoryResult:
 
 
 def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
+    """The recursion over coordinates of ``_osc_arch_nd``.  The coordinates
+    below j live in Z_p, so they see y_j only through frac_part(b y_j^{d_j}),
+    b the frequency of coordinate j, and each level is cached by that phase.
+    Shell |y_j| = p^{-v} is enumerated at depth max(level(phi_j) - v,
+    m - v d_j, 1), m = -v_p(b); the shells past both are one geometric tail
+    at phase 0, and coordinate 0 is ``_osc_finite_1d``."""
     p = phis[0].p
     if any(phi.p != p for phi in phis):
         raise ValueError("all factors must live at the same prime")
     if any(phi.support_exp > 0 for phi in phis):
         raise ValueError("n-dimensional shells require support inside Z_p^n")
     ctx = padic(p)
-    a = Fraction(a)
-    n = len(phis)
     lnp = math.log(p)
-    m_a = max(0, -ctx.valuation(a)) if a != 0 else 0
+    top = ctx.frac_part(Fraction(a))
     levels = [schwartz_level(phi) for phi in phis]
-    cuts = [max(levels[j], -(-m_a // d[j])) for j in range(n)]
+    m_a = -ctx.valuation(top) if top else 0
+    depth, n = max(levels + [m_a]), len(phis)
+    # the top level sees one phase and each level below it at most p^m_a, at
+    # p^depth classes a phase or, at coordinate 0, p^max(level(phi_0), m_a / 2)
+    inner = p ** max(levels[0], -(-m_a // 2))
+    work = inner if n == 1 else p**depth + p**m_a * ((n - 2) * p**depth + inner)
+    if depth > DEFAULT_MAX_LEVEL or work > CLASS_BUDGET:
+        raise DepthOverflowError(f"n-d shell sum needs about {work} classes, past the ceiling or the class budget")
 
-    def tail_factor(j: int) -> complex:
+    @functools.cache
+    def level(j: int, b: Fraction) -> complex:
+        # the integral over y_0 .. y_j at the phase b
+        if j == 0:
+            return _osc_finite_1d(phis[0], b, d[0], s[0]).value
+        m = -ctx.valuation(b) if b else 0
+        K = max(levels[j], -(-m // d[j]))
+        parts = []
+        for v in range(K):
+            L = max(levels[j] - v, m - v * d[j], 1)
+            counts = {}
+            for u in range(1, p**L):
+                y = phis[j].value_at(p**v * u) if u % p else 0
+                if y != 0:
+                    key = (ctx.frac_part(b * (p**v * u) ** d[j]), y)
+                    counts[key] = counts.get(key, 0) + 1
+            scale = cmath.exp(-v * s[j] * lnp) / p**L
+            parts += [scale * c * y * level(j - 1, phase) for (phase, y), c in counts.items()]
         v0 = phis[j].value_at(0)
-        if v0 == 0:
-            return 0j
-        return v0 * (1.0 - 1.0 / p) * cmath.exp(-cuts[j] * complex(s[j]) * lnp) / (
-            1.0 - cmath.exp(-complex(s[j]) * lnp)
-        )
+        if v0 != 0:
+            tail = (1.0 - 1.0 / p) * cmath.exp(-K * s[j] * lnp) / (1.0 - cmath.exp(-s[j] * lnp))
+            parts.append(v0 * level(j - 1, Fraction(0)) * tail)
+        return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
-    def shell_factor(j: int, v: int) -> complex:
-        lf = max(levels[j] - v, 1)
-        U = _unit_shell_integral(p, Fraction(0), 1, lambda u: phis[j].value_at(p**v * u), lf)
-        return cmath.exp(-v * complex(s[j]) * lnp) * U
-
-    total = 0j
-    import itertools
-
-    choices = [list(range(0, cuts[j])) + ["tail"] for j in range(n)]
-    for cell in itertools.product(*choices):
-        if "tail" in cell or a == 0 or sum(cell[j] * d[j] for j in range(n)) >= m_a:
-            factors = []
-            for j, c in enumerate(cell):
-                factors.append(tail_factor(j) if c == "tail" else shell_factor(j, c))
-            term = 1.0 + 0j
-            for f in factors:
-                term *= f
-            total += term
-            continue
-        # joint oscillatory block over (Z_p^*)^n at exact depth
-        aprime = a * Fraction(p) ** sum(cell[j] * d[j] for j in range(n))
-        mprime = max(0, -ctx.valuation(aprime)) if aprime != 0 else 0
-        lfs = [max(levels[j] - cell[j], 1) for j in range(n)]
-        M = max([mprime] + lfs + [1])
-        units = [u for u in range(1, p**M) if u % p != 0]
-        if len(units) ** n > CLASS_BUDGET or M > DEFAULT_MAX_LEVEL:
-            raise DepthOverflowError("joint unit block exceeds the class budget")
-        ps = PhaseSum()
-        w = Fraction(1, p ** (n * M))
-        pvs = [Fraction(p) ** cell[j] for j in range(n)]
-        for tup in itertools.product(units, repeat=n):
-            val = 1.0 + 0j
-            for j in range(n):
-                val *= phis[j].value_at(pvs[j] * tup[j])
-            if val == 0:
-                continue
-            prod = Fraction(1)
-            for j in range(n):
-                prod *= Fraction(tup[j]) ** d[j]
-            ps.add(ctx.frac_part(aprime * prod), w, val)
-        scale = cmath.exp(-sum(cell[j] * complex(s[j]) for j in range(n)) * lnp)
-        total += scale * ps.value()
-    return OscillatoryResult(total, exact=True)
+    return OscillatoryResult(level(n - 1, top), exact=True)
 
 
 def _halflines(support) -> list[tuple[float, float, float]]:

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import heightzeta
 from heightzeta.boundary import exponent_b
 from heightzeta.catalog import MODELS, get_model
 from heightzeta.density import (
@@ -356,6 +361,26 @@ def test_theta_with_finite_place():
     want = 2.0 * (1 - 1 / 5) / math.log(5)
     assert r.b == 2
     assert abs(r.theta - want) < 1e-2 * want
+
+
+def test_theta_independent_of_hash_seed():
+    # E4's two labels form a frozenset whose order follows the string hash;
+    # the factors of a face are multiplied in label order instead
+    code = (
+        "from heightzeta.catalog import get_model; from heightzeta.localfield import Place; "
+        "from heightzeta.density import theta_constant; "
+        "print(repr(theta_constant(get_model('E4'), [Place.real(), Place.finite(5)]).theta))"
+    )
+    src = str(Path(heightzeta.__file__).parents[1])
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "4")
+    ]
+    assert out[0] == out[1] and float(out[0]) > 0, out
 
 
 def test_theta_factorial_normalization():

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +19,7 @@ from heightzeta.localfield import (
     padic,
     psi,
     quad_complex,
+    tate_integral,
 )
 from heightzeta import oscillatory
 from heightzeta.oscillatory import (
@@ -431,6 +434,82 @@ def test_osc_nd_separable_zero_phase():
     got = osc_integral_nd(Place.finite(3), (phi3, phi3), 0, (1, 1), (1.5, 2.0))
     want = ((1 - 1 / 3) / (1 - 3**-1.5)) * ((1 - 1 / 3) / (1 - 3**-2.0))
     assert abs(got.value - want) < 1e-13
+
+
+def _finite_phis(p: int):
+    """Three step functions on Z_p, not all indicators."""
+    return {
+        2: (
+            StepFunction.indicator_zp(2),
+            StepFunction(2, 2, 0, {0: 1.0, 1: 0.5 + 0.25j, 2: 2.0, 3: -1.0}),
+            StepFunction(2, 1, 0, {1: 1.5}),
+        ),
+        3: (
+            StepFunction(3, 2, 0, {j: ((j * 7) % 4) / 3.0 + 0.1j * (j % 2) for j in range(9)}),
+            StepFunction.indicator_zp(3),
+            StepFunction(3, 1, 0, {0: 2.0, 2: 1.0 - 1j}),
+        ),
+        5: (
+            StepFunction(5, 1, 0, {0: 1.0, 1: 2.0, 3: 0.5j}),
+            StepFunction.indicator_zp(5),
+            StepFunction(5, 1, 0, {2: 1.0, 4: 0.25}),
+        ),
+    }[p]
+
+
+@pytest.mark.parametrize(
+    "p, n, a, d, M",
+    [(2, 3, F(3, 8), (1, 2, 1), 3), (3, 2, F(5, 27), (2, 1), 3), (5, 2, F(7, 25) + 2, (1, 3), 2)],
+)
+def test_osc_nd_finite_brute_average(p, n, a, d, M):
+    # at s = (1, ..., 1) the integral is the plain average over (Z/p^M)^n,
+    # M at least every level and -v_p(a)
+    phis = _finite_phis(p)[:n]
+    ctx = padic(p)
+    brute = 0j
+    for xs in itertools.product(range(p**M), repeat=n):
+        val = math.prod(phi.value_at(x) for phi, x in zip(phis, xs))
+        if val:
+            brute += val * cmath.exp(2j * math.pi * float(ctx.frac_part(a * math.prod(x**k for x, k in zip(xs, d)))))
+    brute /= p ** (n * M)
+    got = osc_integral_nd(Place.finite(p), phis, a, d, (1.0,) * n)
+    assert got.exact and abs(got.value - brute) < 1e-13, (got.value, brute)
+
+
+@pytest.mark.parametrize(
+    "p, a, d, s, want",
+    [
+        (2, F(87, 16), (2, 1, 3), (0.8 + 1.3j, 1.2, 0.6 - 0.4j), -0.08892153939577817 - 0.012313938340567111j),
+        (2, F(3, 8), (1, 3, 2), (1.5, 0.7, 2.0), 0.6456431851693206 - 0.0013273882011385959j),
+        (3, F(2, 9), (1, 1, 1), (1.5, 0.7, 2.0), 0.052375325950783376 - 0.012615092136269665j),
+        (5, F(3, 25), (1, 3), (0.8 + 1.3j, 1.2), 0.045880469275626015 + 0.07242194573745954j),
+        (5, F(1, 5), (2, 1, 3), (1.5, 0.7, 2.0), 0.04162006664238176 + 0.004591547252088593j),
+    ],
+)
+def test_osc_nd_finite_pinned(p, a, d, s, want):
+    # pinned to a joint enumeration over tuples of units, an independent route
+    got = osc_integral_nd(Place.finite(p), _finite_phis(p)[: len(d)], a, d, s).value
+    assert abs(got - want) < 1e-14 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("p, k, n", [(5, 10, 2), (5, 9, 2), (3, 12, 3), (2, 13, 2)])
+def test_osc_nd_finite_depth_overflow(p, k, n):
+    # up to p^k phases per level below the top, at p^k or p^(k/2) classes
+    # each, pass CLASS_BUDGET though one shell alone (5^9, 3^12) would not;
+    # 2^13 passes DEFAULT_MAX_LEVEL.  The refusal comes before any enumeration
+    phi = StepFunction.indicator_zp(p)
+    t0 = time.perf_counter()
+    with pytest.raises(DepthOverflowError):
+        osc_integral_nd(Place.finite(p), (phi,) * n, F(1, p**k), (1,) * n, (1,) * n)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_zero_step_function_integrates_to_zero():
+    place, zero, one = Place.finite(3), StepFunction(3, 1, 0, {0: 0j}), StepFunction.indicator_zp(3)
+    assert osc_integral_1d(place, zero, F(1, 9), 1, 1.5).value == 0
+    assert osc_integral_nd(place, (zero, one), F(1, 9), (1, 1), (1.5, 1)).value == 0
+    assert osc_integral_nd(place, (one, zero), F(1, 9), (1, 1), (1.5, 1)).value == 0
+    assert tate_integral(place, zero, 1.5) == 0
 
 
 def test_osc_nd_real_decay():
