@@ -623,11 +623,8 @@ def tate_integral(place: Place, phi, s) -> complex:
     StepFunction at a finite place.  Requires Re(s) > 0."""
     from .oscillatory import osc_integral_1d
 
-    if place.is_archimedean:
-        return osc_integral_1d(place, phi, 0, 1, s).value
-    if not isinstance(phi, StepFunction) or phi.p != place.prime:
-        raise ValueError("finite-place Tate integrals take a StepFunction at the same prime")
-    return osc_integral_1d(place, phi, 0, 1, s).value / (1.0 - 1.0 / place.prime)
+    value = osc_integral_1d(place, phi, 0, 1, s).value
+    return value if place.is_archimedean else value / (1.0 - 1.0 / place.prime)
 
 
 # ---------------------------------------------------------------------------

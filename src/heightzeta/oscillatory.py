@@ -11,7 +11,8 @@ level cached by the phase through which the inner coordinates see it.
 
 Archimedean integrals are adaptive quadrature: the domain is split at
 eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
-turns the phase into a linear one handled by QAWO/QAWF.  On the stationary
+(t = |x|^-d for the inverse phase psi(a / x^d)) turns the phase into a
+linear one handled by QAWO/QAWF.  On the stationary
 side [0, eps], for real s, QAWS takes x^{s-1} as an algebraic weight and
 integrates the endpoint singularity exactly.  On R^n the integral is one
 recursion over half-lines: every outer coordinate gets the same QAWS
@@ -51,7 +52,6 @@ from .localfield import (
 DEFAULT_MAX_LEVEL = 12  # residue refinement ceiling: at most ~p^12 classes
 CLASS_BUDGET = 4_000_000
 _EPSREL_1D = 1e-9  # relative tolerance of the 1-d archimedean quadratures
-_MAX_SHELLS = 200  # dyadic shells of the real inverse-phase series
 # the Gauss-Legendre table of the innermost n-d coordinate: 20 nodes per
 # panel and the 14-node rule for its error, 16 2^k panels per half-line,
 # 60 geometric halvings of a first panel that starts at 0
@@ -71,7 +71,7 @@ _TABLE_MAX_PANELS = 2048
 class OscillatoryResult:
     value: complex
     exact: bool
-    error: float | None = None  # quadrature/tail certificate when not exact
+    error: float | None = None  # quadrature error estimate when not exact
 
 
 @dataclass
@@ -230,12 +230,18 @@ def _power_weighted(f, R: float, s: complex, r0: float = 0.0, **kw):
     return quad_complex(lambda r: r ** (s - 1.0) * f(r), r0, R, **kw)
 
 
+def _halflines(support) -> list[tuple[float, float, float]]:
+    """The half-lines (sign, r0, R) of a support (lo, hi): |y| in
+    [max(lo, 0), hi] with sign 1 and the mirrored [max(-hi, 0), -lo] with
+    sign -1, each where it is not empty."""
+    lo, hi = support
+    return [(sg, max(a, 0.0), b) for sg, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)) if b > 0.0]
+
+
 def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
     """int_0^R r^{s-1} e^{-2 pi i A r^d} g(r) dr  with the stationary
     region [0, eps], eps^d |A| = 1, integrated directly and the oscillatory
     remainder integrated after t = r^d."""
-    if R <= 0.0:
-        return 0j, 0.0
     eps = R if A == 0.0 else min(R, abs(A) ** (-1.0 / d))
     total, err = _power_weighted(lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r), eps, s, epsrel=epsrel)
     if eps < R:
@@ -248,18 +254,11 @@ def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
 
 def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> OscillatoryResult:
     a = float(a)
-    lo, hi = phi.support
-    parts = 0j
-    err = 0.0
-    if hi > 0.0:
-        v, e = _osc_halfline(lambda r: complex(phi(r)), hi, a, d, s, epsrel)
-        parts += v
-        err += e
-    if lo < 0.0:
-        v, e = _osc_halfline(lambda r: complex(phi(-r)), -lo, a * (-1.0) ** d, d, s, epsrel)
-        parts += v
-        err += e
-    return OscillatoryResult(parts, exact=False, error=err)
+    total, err = 0j, 0.0
+    for sign, _, R in _halflines(phi.support):
+        v, e = _osc_halfline(lambda r: complex(phi(sign * r)), R, a * sign**d, d, s, epsrel)
+        total, err = total + v, err + e
+    return OscillatoryResult(total, exact=False, error=err)
 
 
 def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex) -> OscillatoryResult:
@@ -270,6 +269,16 @@ def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex) -> OscillatoryResult
     return OscillatoryResult(val, exact=False, error=err)
 
 
+def _check_test_fns(place: Place, phis) -> None:
+    """A finite place takes StepFunctions at its prime, R BumpFunctions and
+    C a RadialBump; any other test function is a ValueError."""
+    kind = StepFunction if place.is_finite else BumpFunction if place.kind == "real" else RadialBump
+    for phi in phis:
+        if not isinstance(phi, kind) or place.is_finite and phi.p != place.prime:
+            at = f" at p = {place.prime}" if place.is_finite else ""
+            raise ValueError(f"test functions at {place} are {kind.__name__}s{at}")
+
+
 def osc_integral_1d(place: Place, phi, a, d: int, s) -> OscillatoryResult:
     """int_F |x|^{s-1} psi(a x^d) Phi(x) dx, exact at finite places."""
     s = complex(s)
@@ -277,6 +286,7 @@ def osc_integral_1d(place: Place, phi, a, d: int, s) -> OscillatoryResult:
         raise NonconvergentError("osc_integral_1d requires Re(s) > 0")
     if d < 1:
         raise ValueError("d must be a positive integer")
+    _check_test_fns(place, (phi,))
     if place.is_finite:
         return _osc_finite_1d(phi, a, d, s)
     if place.kind == "real":
@@ -296,8 +306,6 @@ def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
     m - v d_j, 1), m = -v_p(b); the shells past both are one geometric tail
     at phase 0, and coordinate 0 is ``_osc_finite_1d``."""
     p = phis[0].p
-    if any(phi.p != p for phi in phis):
-        raise ValueError("all factors must live at the same prime")
     if any(phi.support_exp > 0 for phi in phis):
         raise ValueError("n-dimensional shells require support inside Z_p^n")
     ctx = padic(p)
@@ -338,14 +346,6 @@ def _osc_finite_nd(phis, a, d, s) -> OscillatoryResult:
         return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
     return OscillatoryResult(level(n - 1, top), exact=True)
-
-
-def _halflines(support) -> list[tuple[float, float, float]]:
-    """The half-lines (sign, r0, R) of a support (lo, hi): |y| in
-    [max(lo, 0), hi] with sign 1 and the mirrored [max(-hi, 0), -lo] with
-    sign -1, each where it is not empty."""
-    lo, hi = support
-    return [(sg, max(a, 0.0), b) for sg, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)) if b > 0.0]
 
 
 def _tabulated_transform(phi: BumpFunction, d: int, s: complex):
@@ -463,6 +463,7 @@ def osc_integral_nd(place: Place, phis: Sequence, a, d: Sequence[int], s: Sequen
         raise ValueError("need matching tuples with 1 <= n <= 3")
     if any(t.real <= 0 for t in s):
         raise NonconvergentError("osc_integral_nd requires Re(s_j) > 0")
+    _check_test_fns(place, phis)
     if place.is_finite:
         return _osc_finite_nd(phis, a, d, s)
     if place.kind == "real":
@@ -501,85 +502,45 @@ def _inverse_finite(phi: StepFunction, a, d: int, s: complex) -> OscillatoryResu
     return OscillatoryResult(value, exact=True)
 
 
-def _smooth_step(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    fa = math.exp(-1.0 / t)
-    fb = math.exp(-1.0 / (1.0 - t))
-    return fa / (fa + fb)
-
-
-def _chi_cutoff(r: float) -> float:
-    # 1 on r <= 1, 0 on r >= 2, smooth in between
-    return _smooth_step(2.0 - r)
-
-
-def dyadic_partition_bump(r: float) -> float:
-    """theta(r) = chi(r) - chi(2r): supported in 1/2 < r < 2 with
-    sum_n theta(2^n r) = 1 for r > 0 (the pinned dyadic partition)."""
-    return _chi_cutoff(r) - _chi_cutoff(2.0 * r)
-
-
-def _inverse_real(phi: BumpFunction, a, d: int, s: complex, tol: float) -> OscillatoryResult:
+def _inverse_real(phi: BumpFunction, a, d: int, s: complex) -> OscillatoryResult:
+    """Each half-line y in [r0, R] of phi's support, x = sign y, is split at
+    y*^d = |A|, A = a sign^d, y* clamped to [r0, R].  On [y*, R] the phase
+    stays within one turn; it is integrated in v = log y, which resolves
+    the feature at y*.  On [r0, y*], t = y^-d makes the phase linear for
+    QAWO (QAWF when r0 = 0), which works to an absolute tolerance only."""
     a = float(a)
-    lo, hi = phi.support
-    R = max(abs(lo), abs(hi))
-    n_start = math.floor(-math.log2(R)) - 1
-    partial = 0j
-    shell_mags = []
-    n = n_start
-    flagged_err = 0.0
-    while n < n_start + _MAX_SHELLS:
-        scale = 2.0 ** (-n)
-        omega = 2.0 * math.pi * a * (2.0 ** (d * n))
-        # u > 0 piece and u < 0 piece (x = 1/u)
-        vpos, e1 = quad_oscillatory(
-            lambda t: _inv_shell_integrand(t, +1.0, phi, scale, s, d), 0.5**d, 2.0**d, omega
-        )
-        vneg, e2 = quad_oscillatory(
-            lambda t: _inv_shell_integrand(t, -1.0, phi, scale, s, d),
-            0.5**d,
-            2.0**d,
-            omega * ((-1.0) ** d),
-        )
-        eta_n = vpos + vneg
-        flagged_err += e1 + e2
-        partial += (2.0 ** (-n)) ** s * eta_n
-        shell_mags.append((n, abs(eta_n)))
-        # tail certificate from |eta_{a,n}| <= c 2^{-n} |a|^{-1/d}
-        if len(shell_mags) >= 3:
-            c_est = max(mag * 2.0**k for k, mag in shell_mags) * abs(a) ** (1.0 / d)
-            ratio = 2.0 ** (-(s.real + 1.0))
-            tail = c_est * abs(a) ** (-1.0 / d) * ratio ** (n + 1) / (1.0 - ratio)
-            if tail < max(tol * abs(partial), 1e-13):
-                return OscillatoryResult(partial, exact=False, error=tail + flagged_err)
-        n += 1
-    return OscillatoryResult(partial, exact=False, error=float("inf"))
+    total, err = 0j, 0.0
+    for sign, r0, R in _halflines(phi.support):
+        A = a * sign**d
+        ystar = min(max(abs(A) ** (1.0 / d), r0), R)
+        if ystar < R:
+            f = lambda v: cmath.exp(s * v - 2j * math.pi * A * math.exp(-d * v)) * phi(sign * math.exp(v))
+            val, e = quad_complex(f, math.log(ystar), math.log(R), epsabs=1e-14)
+            total, err = total + val, err + e
+        if ystar > r0:
+            g = lambda t: (1.0 / d) * t ** (-s / d - 1.0) * phi(sign * t ** (-1.0 / d))
+            top = math.inf if r0 == 0.0 else r0**-d
+            val, e = quad_oscillatory(g, ystar**-d, top, 2.0 * math.pi * A, epsabs=1e-14)
+            total, err = total + val, err + e
+    return OscillatoryResult(total, exact=False, error=err)
 
 
-def _inv_shell_integrand(t: float, sign: float, phi, scale: float, s: complex, d: int) -> complex:
-    # after x = 1/u and t = u^d on the annulus (sign carries the u < 0 half)
-    u = t ** (1.0 / d)
-    du = (1.0 / d) * t ** (1.0 / d - 1.0)
-    return u ** (-s - 1.0) * phi(scale / (sign * u)) * dyadic_partition_bump(u) * du
-
-
-def inverse_phase_integral(place: Place, phi, a, d: int, s, *, tol: float = 1e-9) -> OscillatoryResult:
-    """eta_a(s) = int |x|^{s-1} psi(a / x^d) Phi(x) dx, computed as the
-    shell series sum_n q^{-ns} eta_{a,n}(s); exact (finitely many shells)
-    at finite places, truncated with a geometric tail certificate on R.
-    Valid for Re(s) > -1."""
+def inverse_phase_integral(place: Place, phi, a, d: int, s) -> OscillatoryResult:
+    """eta_a(s) = int |x|^{s-1} psi(a / x^d) Phi(x) dx: exact at finite
+    places, as the shell series sum_n q^{-ns} eta_{a,n}(s) with finitely
+    many nonzero shells; on R one oscillatory integral in t = |x|^-d per
+    half-line, with the sum of the QUADPACK error estimates.  Valid for
+    Re(s) > -1."""
     s = complex(s)
     if a == 0:
         raise ValueError("a must be nonzero")
     if s.real <= -1.0:
         raise NonconvergentError("inverse_phase_integral requires Re(s) > -1")
+    _check_test_fns(place, (phi,))
     if place.is_finite:
         return _inverse_finite(phi, a, d, s)
     if place.kind == "real":
-        return _inverse_real(phi, a, d, s, tol)
+        return _inverse_real(phi, a, d, s)
     raise ValueError("complex-place inverse-phase integrals are not provided")
 
 
