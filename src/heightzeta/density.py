@@ -2,6 +2,11 @@
 with an independent residue-cell oracle, regularized Euler products, and
 the predicted leading constant.
 
+The local height transforms are read off the blocks: ``arch_density`` at
+the real place, and ``fourier_finite`` at a finite place and a nonzero
+character, are products over the labels of one closed-form transform per
+block.
+
 Two independent routes compute the local density at a finite place:
 
 * ``denef_density`` evaluates the closed stratum-count formula
@@ -171,60 +176,24 @@ def _cell_volume(p: int, cell) -> Fraction:
     return Fraction(p) ** (k - 1) * (p - 1)
 
 
-def _char_weight(p: int, cell, j: int | None) -> Fraction | None:
-    """int over the cell of psi(a_i x) dx (j = v_p(a_i), None for a_i = 0);
-    None marks a vanishing cell."""
-    if cell == _ZP:
-        return Fraction(1)
-    _, k = cell
-    if j is None:
-        return _cell_volume(p, cell)
-    if k <= j:
-        return _cell_volume(p, cell)
-    if k == j + 1:
-        return -(Fraction(p) ** j)
-    return None
-
-
-def _padic_cell_sum(model, p: int, smap: dict, m: int, restrict: bool, a=None) -> complex:
-    """Shared engine behind the oracle and the finite-place character
-    transform.  Coordinates are cut into Z_p, the shells |x| = p^k, and a
-    geometric tail; with a character the shell weights become exact
-    character sums and the unbounded directions only survive along the
-    kernel of the character."""
+def brute_density_oracle(model, p: int, s, m: int = 3, restrict: bool = True) -> complex:
+    """Direct residue-cell integration of the local height; independent of
+    the stratum-count formula.  Each coordinate is cut into Z_p, the shells
+    |x| = p^k for 1 <= k < m, and a tail of the shells k >= m, summed as a
+    certified geometric series.  Requires depth m >= 2."""
     if m < 2:
         raise ValueError("depth m >= 2 required")
-    ctx = padic(p)
+    smap = _s_map(model, s)
     n = model.dim
     labels = model.divisors.labels
     lnp = math.log(p)
     prober = _CellProber(model, p, restrict)
-
-    js = None
-    if a is not None:
-        js = [ctx.valuation(t) if t != 0 else None for t in a]
 
     def hval(evec) -> complex:
         acc = 0j
         for alpha, e in zip(labels, evec):
             acc += smap[alpha] * e
         return cmath.exp(-acc * lnp)
-
-    # per-coordinate cell menus; "tail" covers shells k >= m
-    menus = []
-    for i in range(n):
-        cells = [_ZP]
-        if js is not None and js[i] is not None:
-            cells += [("shell", k) for k in range(1, js[i] + 2)]
-        else:
-            cells += [("shell", k) for k in range(1, m)]
-            cells += ["tail"]
-        menus.append(cells)
-
-    def fixed_weight(i, cell) -> Fraction | None:
-        if js is None or js[i] is None:
-            return _cell_volume(p, cell) if cell != _ZP else Fraction(1)
-        return _char_weight(p, cell, js[i])
 
     def tail_sum(tail_coords: tuple, start: int, fixed: dict) -> complex:
         """Sum over shells k_i >= start for i in tail_coords, others fixed;
@@ -274,21 +243,11 @@ def _padic_cell_sum(model, p: int, smap: dict, m: int, restrict: bool, a=None) -
         return layer / (1.0 - scale)
 
     total = 0j
-    finite_menus = [[c for c in menu if c != "tail"] for menu in menus]
-    has_tail = [("tail" in menu) for menu in menus]
-    for combo in itertools.product(*[fm + (["tail"] if ht else []) for fm, ht in zip(finite_menus, has_tail)]):
+    menu = [_ZP] + [("shell", k) for k in range(1, m)] + ["tail"]
+    for combo in itertools.product(menu, repeat=n):
         tail_coords = tuple(i for i, c in enumerate(combo) if c == "tail")
         fixed = {i: c for i, c in enumerate(combo) if c != "tail"}
-        w = Fraction(1)
-        dead = False
-        for i, cell in fixed.items():
-            wi = fixed_weight(i, cell)
-            if wi is None or wi == 0:
-                dead = True
-                break
-            w *= wi
-        if dead:
-            continue
+        w = math.prod(_cell_volume(p, cell) for cell in fixed.values())
         if tail_coords:
             total += float(w) * tail_sum(tail_coords, m, fixed)
             continue
@@ -299,16 +258,39 @@ def _padic_cell_sum(model, p: int, smap: dict, m: int, restrict: bool, a=None) -
     return total
 
 
-def brute_density_oracle(model, p: int, s, m: int = 3, restrict: bool = True) -> complex:
-    """Direct residue-cell integration of the local height; independent of
-    the stratum-count formula.  Requires depth m >= 2."""
-    return _padic_cell_sum(model, p, _s_map(model, s), m, restrict, a=None)
+# ---------------------------------------------------------------------------
+# finite-place character transforms
 
 
-def fourier_finite(model, p: int, a, s, m: int = 3) -> complex:
+def _finite_block_transform(p: int, k: int, t: complex, b: tuple) -> complex:
+    """int over Q_p^k of max(1, |x|)^{-t} psi(<b, x>) dx for b in Z_p^k.
+    The ball |x| <= p^j carries p^{jk} while b is trivial on it, j <= v with
+    v the least valuation of b, and nothing after; so the transform is the
+    unit ball plus the shells j = 1..v, minus p^{vk} at shell v + 1, summed
+    in that order.  At b = 0 it is the geometric series
+    1 + (1 - p^-k) r/(1 - r), r = p^{k-t}, which needs |r| < 1."""
+    lnp = math.log(p)
+    vals = [padic(p).valuation(c) for c in b if c != 0]
+    if not vals:
+        r = cmath.exp((k - t) * lnp)
+        if abs(r) >= 1.0:
+            raise NonconvergentError(f"the local transform at p={p} diverges: |p^(k-t)| >= 1")
+        return 1.0 + (1.0 - p**-k) * r / (1.0 - r)
+    v = min(vals)
+    total = 1 + 0j
+    for j in range(1, v + 1):
+        total += (p ** (j * k) - p ** ((j - 1) * k)) * cmath.exp(-(t * j) * lnp)
+    return total - p ** (v * k) * cmath.exp(-(t * (v + 1)) * lnp)
+
+
+def fourier_finite(model, p: int, a, s) -> complex:
     """Exact local Fourier transform int delta prod ||f||^{s} psi(<a,x>) dx
-    at a finite place.  Vanishes outside the unit character lattice Z_p^n
-    (the height is invariant under translation by G(Z_p))."""
+    at a finite place.  It vanishes outside the unit character lattice
+    Z_p^n (the height is invariant under translation by G(Z_p)).  Inside
+    it, and at a != 0, it is the product over the kept labels of the closed
+    form of ``_finite_block_transform`` on their blocks: a removed block
+    integrates psi over Z_p^k, which gives 1.  At a = 0 it is
+    ``denef_density``."""
     if isinstance(a, (int, Fraction)):
         a = (a,)
     a = tuple(Fraction(t) for t in a)
@@ -319,7 +301,15 @@ def fourier_finite(model, p: int, a, s, m: int = 3) -> complex:
     ctx = padic(p)
     if any(t != 0 and ctx.valuation(t) < 0 for t in a):
         return 0j
-    return _padic_cell_sum(model, p, _s_map(model, s), m, restrict=True, a=a)
+    smap = _s_map(model, s)
+    removed = model.divisors.removed
+    return complex(
+        math.prod(
+            _finite_block_transform(p, len(idx), smap[alpha], tuple(a[i] for i in idx))
+            for alpha, idx in model.norm_coords.items()
+            if alpha not in removed
+        )
+    )
 
 
 def char_bound_quantity(model, p: int, a, s) -> float:
@@ -421,54 +411,25 @@ def _arch_joint_max(a: Sequence[float], w: complex) -> complex:
     return 4.0 * (_box(1.0, b1) * _box(1.0, b2) + first + (s_sum + s_diff) / (2.0 * b2))
 
 
-def _quad_max1d(w: float) -> float:
-    """Direct quadrature of int max(1,|x|)^{-w} dx (verification path)."""
-    from scipy.integrate import quad as _quad
-
-    head, _ = _quad(lambda x: 1.0, -1.0, 1.0)
-    tail, _ = _quad(lambda x: x ** (-w), 1.0, math.inf)
-    return head + 2.0 * tail
+# block size -> the transform of max(1, |x_i|)^{-w} on that block
+_BLOCK_TRANSFORMS = {1: _arch_transform_max1d, 2: _arch_joint_max}
 
 
-def _quad_joint_max(w: float) -> float:
-    """Direct quadrature of int max(1,|x|,|y|)^{-w} dx dy on the
-    compactified square (verification path)."""
-    import warnings
-
-    from scipy.integrate import IntegrationWarning, dblquad
-
-    def integrand(u, v):
-        x = u / (1.0 - u * u)
-        y = v / (1.0 - v * v)
-        jac = (1.0 + u * u) / (1.0 - u * u) ** 2 * (1.0 + v * v) / (1.0 - v * v) ** 2
-        return max(1.0, abs(x), abs(y)) ** (-w) * jac
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = dblquad(integrand, -1.0, 1.0, -1.0, 1.0, epsabs=1e-10, epsrel=1e-9)
-    return val
-
-
-# block size -> (transform of max(1, |x_i|)^{-w}, direct quadrature at a = 0)
-_BLOCK_TRANSFORMS = {1: (_arch_transform_max1d, _quad_max1d), 2: (_arch_joint_max, _quad_joint_max)}
-
-
-def arch_density(model, a, s0, method: str = "auto") -> complex:
+def arch_density(model, a, s0) -> complex:
     """H^_inf(a; s0*lambda): the archimedean height transform, the product
     over labels alpha of the transform of max(1, |x_i| : i in the block of
     alpha)^{-lambda_alpha s0} at the block of a.  Each is closed-form at a
-    zero block; ``method='quad'`` replaces them at a = 0 by direct
-    quadrature (the cross-check path)."""
+    zero block."""
     s0 = complex(s0)
     if not isinstance(a, (tuple, list)):
         a = (0.0,) * model.dim if a is None or a == 0 else (a,)
     avec = [float(t) for t in a]
     if len(avec) != model.dim:
         raise ValueError(f"{model.id} expects a character of dimension {model.dim}")
-    blocks = [(model.divisors.lam(alpha) * s0, idx) for alpha, idx in model.norm_coords.items()]
-    if method == "quad" and not any(avec):
-        return complex(math.prod(_BLOCK_TRANSFORMS[len(idx)][1](w.real) for w, idx in blocks))
-    return math.prod(_BLOCK_TRANSFORMS[len(idx)][0]([avec[i] for i in idx], w) for w, idx in blocks)
+    return math.prod(
+        _BLOCK_TRANSFORMS[len(idx)]([avec[i] for i in idx], model.divisors.lam(alpha) * s0)
+        for alpha, idx in model.norm_coords.items()
+    )
 
 
 # ---------------------------------------------------------------------------

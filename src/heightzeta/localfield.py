@@ -26,8 +26,6 @@ d = s = 1), imported at call time since that module imports this one.
 from __future__ import annotations
 
 import cmath
-import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -458,34 +456,11 @@ class StepFunction:
             raise ValueError("zero function has empty support")
         return best
 
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "level": self.level,
-                "support_exp": self.support_exp,
-                "table": {str(j): [complex(v).real, complex(v).imag] for j, v in sorted(self.table.items())},
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StepFunction":
-        d = json.loads(text)
-        table = {int(j): complex(re, im) for j, (re, im) in d["table"].items()}
-        return cls(d["p"], d["level"], d["support_exp"], table)
-
 
 @dataclass
 class BumpFunction:
     """The smooth test function  amplitude * exp(1 - 1/(1 - u^2))  with
-    u = (x - center)/radius, supported on (center - radius, center + radius).
-
-    ``sup_f`` and ``sup_df`` are upper bounds for |f| and |f'|; they are
-    spot-checked on a grid by the test suite, not trusted blindly.
-    """
+    u = (x - center)/radius, supported on (center - radius, center + radius)."""
 
     center: float = 0.0
     radius: float = 1.0
@@ -516,24 +491,6 @@ class BumpFunction:
         out = np.zeros(np.shape(x))
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / w)
         return out
-
-    def derivative(self, x: float) -> float:
-        f = self(x)
-        if f == 0.0:
-            return 0.0
-        u = x - self.center
-        r2 = self.radius * self.radius
-        w = 1.0 - (u * u) / r2
-        return f * (-2.0 * u / (r2 * w * w))
-
-    @property
-    def sup_f(self) -> float:
-        return abs(self.amplitude)
-
-    @functools.cached_property
-    def sup_df(self) -> float:
-        grid = np.linspace(*self.support, 4001)
-        return 1.05 * max(abs(self.derivative(float(x))) for x in grid)
 
 
 @dataclass

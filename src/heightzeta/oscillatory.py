@@ -238,15 +238,18 @@ def _halflines(support) -> list[tuple[float, float, float]]:
     return [(sg, max(a, 0.0), b) for sg, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)) if b > 0.0]
 
 
-def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
-    """int_0^R r^{s-1} e^{-2 pi i A r^d} g(r) dr  with the stationary
-    region [0, eps], eps^d |A| = 1, integrated directly and the oscillatory
-    remainder integrated after t = r^d."""
+def _osc_halfline(g, r0: float, R: float, A: float, d: int, s: complex, epsrel: float):
+    """int_{r0}^R r^{s-1} e^{-2 pi i A r^d} g(r) dr  with the stationary
+    region [r0, max(r0, eps)], eps^d |A| = 1, integrated directly and the
+    oscillatory remainder integrated after t = r^d."""
     eps = R if A == 0.0 else min(R, abs(A) ** (-1.0 / d))
-    total, err = _power_weighted(lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r), eps, s, epsrel=epsrel)
-    if eps < R:
+    mid = max(r0, eps)
+    total, err = 0j, 0.0
+    if mid > r0:
+        total, err = _power_weighted(lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r), mid, s, r0, epsrel=epsrel)
+    if mid < R:
         f = lambda t: (1.0 / d) * (t ** (s / d - 1.0)) * g(t ** (1.0 / d))
-        val, e2 = quad_oscillatory(f, eps**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)
+        val, e2 = quad_oscillatory(f, mid**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)
         total += val
         err += e2
     return total, err
@@ -255,8 +258,8 @@ def _osc_halfline(g, R: float, A: float, d: int, s: complex, epsrel: float):
 def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> OscillatoryResult:
     a = float(a)
     total, err = 0j, 0.0
-    for sign, _, R in _halflines(phi.support):
-        v, e = _osc_halfline(lambda r: complex(phi(sign * r)), R, a * sign**d, d, s, epsrel)
+    for sign, r0, R in _halflines(phi.support):
+        v, e = _osc_halfline(lambda r: complex(phi(sign * r)), r0, R, a * sign**d, d, s, epsrel)
         total, err = total + v, err + e
     return OscillatoryResult(total, exact=False, error=err)
 

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, dblquad, quad
 
 import heightzeta
 from heightzeta.boundary import exponent_b
@@ -120,11 +122,36 @@ def test_arch_closed_forms():
     assert arch_density(get_model("E4"), 0, 1.5).real == pytest.approx((2 + 1) * (2 + 4))
 
 
+def _quad_max1d(w: float) -> float:
+    """Direct quadrature of int max(1,|x|)^{-w} dx."""
+    head, _ = quad(lambda x: 1.0, -1.0, 1.0)
+    tail, _ = quad(lambda x: x ** (-w), 1.0, math.inf)
+    return head + 2.0 * tail
+
+
+def _quad_joint_max(w: float) -> float:
+    """Direct quadrature of int max(1,|x|,|y|)^{-w} dx dy on the
+    compactified square."""
+
+    def integrand(u, v):
+        x = u / (1.0 - u * u)
+        y = v / (1.0 - v * v)
+        jac = (1.0 + u * u) / (1.0 - u * u) ** 2 * (1.0 + v * v) / (1.0 - v * v) ** 2
+        return max(1.0, abs(x), abs(y)) ** (-w) * jac
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = dblquad(integrand, -1.0, 1.0, -1.0, 1.0, epsabs=1e-10, epsrel=1e-9)
+    return val
+
+
 def test_arch_quadrature_matches_closed_forms():
+    # the closed forms at a = 0 against direct quadrature of each block
+    by_size = {1: _quad_max1d, 2: _quad_joint_max}
     for mid, s0 in [("E1", 2.0), ("E2", 1.5), ("E3", 1.7), ("E4", 1.6), ("E5", 1.4), ("E6", 1.3)]:
         m = get_model(mid)
         c = arch_density(m, 0, s0)
-        q = arch_density(m, 0, s0, method="quad")
+        q = math.prod(by_size[len(idx)](m.divisors.lam(alpha) * s0) for alpha, idx in m.norm_coords.items())
         assert abs(c - q) < 2e-4 * abs(c), mid
 
 
@@ -272,6 +299,70 @@ def test_fourier_E2_brute():
                 )
             got = fourier_finite(m, 3, (a,), s0)
             assert abs(got - brute) < 1e-12, (a, s0)
+
+
+def _brute_transform(m, p: int, a, s0, K: int) -> complex:
+    """sum over x in (p^-K Z_p / Z_p)^n of delta(x) prod ||f_alpha(x)||^{s_alpha}
+    psi(<a, x>), each class of volume 1.  For a in Z_p^n the integrand is
+    constant on the classes, and for a nonzero on every kept block, of
+    valuation below K there, nothing lies outside p^-K Z_p^n."""
+    place = Place.finite(p)
+    smap = s_vector(m, s0)
+    total = 0j
+    for us in itertools.product(range(p**K), repeat=m.dim):
+        x = tuple(F(u, p**K) for u in us)
+        if m.is_integral(place, x):
+            h = math.prod(float(m.local_height(place, alpha, x)) ** smap[alpha] for alpha in m.divisors.labels)
+            total += h * psi(place, sum(ai * xi for ai, xi in zip(a, x)))
+    return total
+
+
+@pytest.mark.parametrize(
+    "mid, p, a, s0",
+    [
+        ("E3", 2, (1, 0), 1.6),
+        ("E4", 3, (3, 0), 1.7),
+        ("E4", 3, (2, 5), 1.4 + 0.5j),
+        ("E4", 2, (4, 1), 1.6),
+        ("E5", 2, (0, 4), 1.6),
+        ("E6", 2, (4, 6), 1.3 + 0.4j),
+        ("E6", 5, (5, 10), 1.8),
+        ("E6", 2, (8, 0), 1.6),  # the depth-3 cell sum raised NumericError on these two
+        ("E6", 3, (0, 27), 1.6),
+    ],
+)
+def test_fourier_finite_brute(mid, p, a, s0):
+    m, a = get_model(mid), tuple(F(t) for t in a)
+    K = 1 + max(padic(p).valuation(t) for t in a if t)
+    want = _brute_transform(m, p, a, s0, K)
+    got = fourier_finite(m, p, a, s0)
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def test_fourier_finite_nonconvergent():
+    # E4's kept block at a zero character is 1 + (1 - 1/p) r/(1 - r) with
+    # r = p^{1 - 2 s}, which diverges at s = 1/2
+    with pytest.raises(NonconvergentError):
+        fourier_finite(get_model("E4"), 3, (F(0), F(1)), 0.5)
+
+
+@pytest.mark.parametrize(
+    "mid, p, a, s0, want",
+    [
+        ("E4", 2, (4, 0), 2.07791, 1.061689820431344),
+        ("E3", 5, (7, 0), 1.68337, 1.0),
+        ("E5", 2, (0, 12), 1.85488, 1.0),
+        ("E1", 3, (15,), 2.09054, 1.0),
+        ("E6", 5, (0, 20), 1.78617, 1.0043121333137404),
+        ("E2", 2, (4,), 2.05239, 1.0640925587707175),
+        ("E4", 7, (63, 10), 2.00714, 1.0024293259962154),
+        ("E6", 3, (5, 6), 1.49337, 0.9927147527520098),
+    ],
+)
+def test_fourier_finite_pinned(mid, p, a, s0, want):
+    # the seed-0 benchmark characters, pinned to the residue-cell sum's values
+    got = fourier_finite(get_model(mid), p, tuple(map(F, a)), s0)
+    assert abs(got - want) <= 1e-14 * want, got
 
 
 def test_char_bound_decay():

@@ -181,20 +181,6 @@ def test_step_value_and_refine():
         assert fine.value_at(x) == phi.value_at(x)
 
 
-def test_step_json_roundtrip():
-    phi = StepFunction(3, 2, 1, {1: 1.0, 5: 2.0 - 1j, 14: 0.5j})
-    back = StepFunction.from_json(phi.to_json())
-    assert back.p == phi.p and back.level == phi.level
-    assert back.support_exp == phi.support_exp and back.table == phi.table
-
-
-def test_bump_bounds_spot_check():
-    bump = BumpFunction.standard(0.3, 1.5, 2.0)
-    xs = np.linspace(-1.3, 1.9, 1777)
-    assert max(abs(bump(float(x))) for x in xs) <= bump.sup_f + 1e-12
-    assert max(abs(bump.derivative(float(x))) for x in xs) <= bump.sup_df
-
-
 def test_bump_values_match_scalar():
     # the numpy evaluator against __call__, also on and next to the edges
     for c, rad, amp in ((0.0, 1.0, 1.0), (0.3, 1.5, 2.0), (1.0, 0.75, 0.7)):

@@ -266,6 +266,29 @@ def test_osc1d_real_vs_reference():
                         assert dev <= 1e-10 * abs(ref), (c, rad, s, a, d, got, ref)
 
 
+class _RecordedBump(BumpFunction):
+    """A bump that records the points it is evaluated at in ``calls``."""
+
+    def __call__(self, x: float) -> float:
+        self.calls.append(x)
+        return super().__call__(x)
+
+
+@pytest.mark.parametrize("a, d, s", [(3.7, 1, 0.8), (40.0, 2, 1.2)])
+def test_osc1d_real_support_away_from_zero(a, d, s):
+    # a support that misses 0 is integrated only where the bump lives.  The
+    # second value is 3e-9, below the 1e-15 absolute accuracy of both
+    # quadratures, so it is held to that and to its own error estimate
+    bump = _RecordedBump.standard(1.5, 1.0)
+    bump.calls = []
+    got = osc_integral_1d(R, bump, a, d, s)
+    assert bump.calls and min(bump.calls) >= 0.5
+    ref, _ = quad_complex(lambda x: x ** (s - 1) * cmath.exp(-2j * math.pi * a * x**d) * bump(x), 0.5, 2.5, epsrel=1e-12)
+    dev = abs(got.value - ref)
+    assert dev <= max(1e-9 * abs(ref), 1e-15), (got, ref)
+    assert got.error >= dev
+
+
 def _axis_rule(sj, a: float, nodes: int, c: float = 0.0, rad: float = 1.0, d: int = 1, **rule):
     """The rule of ``_halfline_rule`` at frequency a on each half-line of
     the bump (c - rad, c + rad), the positive nodes first, with the weights
