@@ -37,9 +37,7 @@ from .density import (
     s_vector,
 )
 from .localfield import (
-    Ball,
     BumpFunction,
-    Coset,
     PadicContext,
     PhaseSum,
     Place,
@@ -47,7 +45,6 @@ from .localfield import (
     StepFunction,
     abs_value,
     fourier_test_fn,
-    haar_volume,
     padic,
     psi,
     residue_c,

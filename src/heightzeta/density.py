@@ -262,13 +262,28 @@ def brute_density_oracle(model, p: int, s, m: int = 3, restrict: bool = True) ->
 # finite-place character transforms
 
 
+def _times_power(n: int, x: complex, lnp: float) -> complex:
+    """n p^x for an integer n >= 1, as the int times e^{x log p}; past the
+    float range of n (or of p^x), as e^{log n + x log p}.  NumericError
+    where the value itself passes the float range."""
+    try:
+        return n * cmath.exp(x * lnp)
+    except OverflowError:
+        pass
+    try:
+        return cmath.exp(math.log(n) + x * lnp)
+    except OverflowError:
+        raise NumericError(f"an integer of {n.bit_length()} bits times p^({x}) passes the float range") from None
+
+
 def _finite_block_transform(p: int, k: int, t: complex, b: tuple) -> complex:
     """int over Q_p^k of max(1, |x|)^{-t} psi(<b, x>) dx for b in Z_p^k.
     The ball |x| <= p^j carries p^{jk} while b is trivial on it, j <= v with
     v the least valuation of b, and nothing after; so the transform is the
     unit ball plus the shells j = 1..v, minus p^{vk} at shell v + 1, summed
-    in that order.  At b = 0 it is the geometric series
-    1 + (1 - p^-k) r/(1 - r), r = p^{k-t}, which needs |r| < 1."""
+    in that order, each shell through ``_times_power``.  At b = 0 it is the
+    geometric series 1 + (1 - p^-k) r/(1 - r), r = p^{k-t}, which needs
+    |r| < 1."""
     lnp = math.log(p)
     vals = [padic(p).valuation(c) for c in b if c != 0]
     if not vals:
@@ -279,8 +294,11 @@ def _finite_block_transform(p: int, k: int, t: complex, b: tuple) -> complex:
     v = min(vals)
     total = 1 + 0j
     for j in range(1, v + 1):
-        total += (p ** (j * k) - p ** ((j - 1) * k)) * cmath.exp(-(t * j) * lnp)
-    return total - p ** (v * k) * cmath.exp(-(t * (v + 1)) * lnp)
+        total += _times_power(p ** (j * k) - p ** ((j - 1) * k), -(t * j), lnp)
+    total -= _times_power(p ** (v * k), -(t * (v + 1)), lnp)
+    if not cmath.isfinite(total):
+        raise NumericError(f"the local transform at p={p} passes the float range")
+    return total
 
 
 def fourier_finite(model, p: int, a, s) -> complex:
@@ -447,55 +465,39 @@ def zeta_S(w: float, S: Sequence[Place]) -> float:
     return val
 
 
-def _primes_off(S: Sequence[Place], cutoff: int) -> np.ndarray:
-    """The primes p <= cutoff that are not finite places of S, ascending."""
+def _euler_pass(model, smap: dict, S: Sequence[Place], cutoff: int) -> tuple[np.ndarray, complex, complex]:
+    """The one pass over the primes p <= cutoff off S: their restricted
+    local densities at ``smap``, and the running product of those times
+    each kept label's factor 1 - p^-w, w = 1 + s_alpha - rho_alpha, up to
+    the cutoff and up to half of it, multiplied left to right (entry k of
+    ``running`` is the product of the first k factors)."""
     primes = np.array(primes_upto(cutoff), dtype=np.int64)
-    return primes[~np.isin(primes, [v.prime for v in S if v.is_finite])]
-
-
-def _running_product(factors: np.ndarray) -> np.ndarray:
-    """1, f_0, f_0 f_1, ...: entry k multiplies the first k factors in order."""
-    return np.multiply.accumulate(np.concatenate(([1.0], factors)))
+    primes = primes[~np.isin(primes, [v.prime for v in S if v.is_finite])]
+    loc = reg = denef_density(model, primes, smap, restrict=True)
+    for alpha in model.divisors.kept:
+        reg = reg * (1.0 - primes ** (-(1.0 + (smap[alpha] - model.divisors.rho_of(alpha)).real)))
+    running = np.multiply.accumulate(np.concatenate(([1.0], reg)))
+    return loc, complex(running[-1]), complex(running[np.searchsorted(primes, cutoff // 2, side="right")])
 
 
 def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: int = 1) -> EulerProductValue:
     """Regularized product of the restricted local densities over the
     primes outside S: the zeta factors zeta_S(1 + s_alpha - rho_alpha)
     (kept components) are divided out of each local factor and restored
-    globally.  The local factors come from one array evaluation of
-    ``denef_density`` over the primes, multiplied left to right;
+    globally.  The local factors and their running product come from
+    ``_euler_pass``, the one array evaluation of ``denef_density`` over
+    the primes that ``tau_adelic`` and ``theta_constant`` share;
     ``threads`` is accepted for interface stability and has no effect."""
     s0 = complex(s0)
     smap = s_vector(model, s0)
     ws = [1.0 + (smap[alpha] - model.divisors.rho_of(alpha)).real for alpha in model.divisors.kept]
     if any(w <= 1.0 for w in ws):
         raise NonconvergentError("Euler product evaluated outside its convergence region")
-    primes = _primes_off(S, cutoff)
-    loc = denef_density(model, primes, smap, restrict=True)
-    reg = loc
-    for w in ws:
-        reg = reg * (1.0 - primes ** (-w))
-    partial = complex(_running_product(loc)[-1])
-    running = _running_product(reg)
-    corrected = complex(running[-1])
-    half = complex(running[np.searchsorted(primes, cutoff // 2, side="right")])
+    loc, corrected, half = _euler_pass(model, smap, S, cutoff)
+    partial = complex(np.multiply.accumulate(np.concatenate(([1.0], loc)))[-1])
     head = math.prod(zeta_S(w, S) for w in ws)
     tail_estimate = abs(corrected - half) * abs(head)
     return EulerProductValue(cutoff, partial, corrected * head, tail_estimate)
-
-
-def _tau_pass(model, S: Sequence[Place], cutoff: int) -> tuple[float, float]:
-    """tau_adelic over the primes up to the cutoff and up to half of it:
-    the restricted local densities at s = 1 times (1 - 1/p)^r, r = rank Pic,
-    multiplied over the primes off S, times the residue prod_{p in S}
-    (1 - 1/p) of each of the r zeta factors."""
-    r = ep_rank(model)
-    primes = _primes_off(S, cutoff)
-    loc = denef_density(model, primes, s_vector(model, 1.0), restrict=True).real
-    running = _running_product((1.0 - 1.0 / primes) ** r * loc)
-    residue = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite)
-    half = running[np.searchsorted(primes, cutoff // 2, side="right")]
-    return (residue**r) * float(running[-1]), (residue**r) * float(half)
 
 
 # (s-1)^m H_inf(s) prod_{p in S} H_p(s) is analytic in the disc of radius
@@ -533,7 +535,9 @@ def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> 
             if v.is_finite:
                 val *= denef_density(model, v.prime, s_vector(model, 1.0 + z), restrict=False)
         mean += val
-    tau, half = _tau_pass(model, S, prime_cutoff)
+    _, full, half = _euler_pass(model, s_vector(model, 1.0), S, prime_cutoff)
+    residue = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite) ** ep_rank(model)
+    tau, half = residue * full.real, residue * half.real
     theta = tau * (mean.real / _CONTOUR_NODES) / math.factorial(b - 1)
     for alpha in model.divisors.kept:
         theta /= model.divisors.rho_of(alpha)
@@ -544,39 +548,46 @@ def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> 
 # boundary residue measures and the factorized constant
 
 
-def _line_mass(place: Place, e: int) -> float:
-    """int max(1,|w|)^{-e} dw over the completion, e >= 2."""
+def _projective_volume(place: Place, m: int) -> float:
+    """vol(P^m) = int_{F^m} max(1,|w|)^{-(m+1)} dw over the completion:
+    the unit box plus the shells |w| = r > 1, of volume m 2^m r^{m-1} dr
+    on R and p^{jm} - p^{(j-1)m} at r = p^j."""
+    e = float(m + 1)
     if place.kind == "real":
-        return 2.0 + 2.0 / (e - 1.0)
+        return 2.0**m + 2.0**m * m / (e - m)
     p = place.prime
-    return (1.0 - p ** (-float(e))) / (1.0 - p ** (1.0 - float(e)))
+    return (1.0 - p ** (-e)) / (1.0 - p ** (m - e))
 
 
 def tau_max_boundary(model, place: Place) -> float:
     """Mass of the boundary residue measure at a place of S: the product
     of c_v u_v / (rho_alpha - 1) over the removed labels alpha, times the
-    integral of the residual density max(1,|w|)^{-2} over the P^1 stratum
-    where the removed components meet in a line (fewer of them than dim),
-    or times 1 where they meet in a point.  u_v is the unit-sphere volume
-    correction, 1 at the real place and (1 - 1/q) at a finite place."""
+    volume of the maximal boundary stratum, itself a product over the
+    blocks: P^{k-1} at infinity of a removed block P^k, and all of P^k for
+    a kept one.  u_v is the unit-sphere volume correction, 1 at the real
+    place and (1 - 1/q) at a finite place."""
     removed = model.divisors.removed
     if not removed:
         raise ConfigError(f"{model.id} removes nothing; no boundary measure")
     cv = residue_c(place)
     uv = 1.0 if place.is_archimedean else 1.0 - 1.0 / place.prime
     mass = 1.0
-    for alpha in (a for a in model.divisors.labels if a in removed):
-        mass *= cv * uv / (model.divisors.rho_of(alpha) - 1)
-    if len(removed) < model.dim:
-        mass *= _line_mass(place, 2)
+    for alpha, idx in model.norm_coords.items():
+        k = len(idx)
+        if alpha in removed:
+            mass *= cv * uv / (model.divisors.rho_of(alpha) - 1)
+            k -= 1
+        mass *= _projective_volume(place, k)
     return mass
 
 
 def tau_adelic(model, S: Sequence[Place], cutoff: int = 10_000) -> float:
     """Regularized volume of the integral adelic points off S with respect
     to the log-boundary-twisted measure; the Picard-rank many zeta factors
-    are removed locally and restored through the residue of zeta_S."""
-    return _tau_pass(model, S, cutoff)[0]
+    are removed locally (at s = 1 each kept label's factor in
+    ``_euler_pass`` is 1 - 1/p) and restored through the residue of zeta_S."""
+    _, full, _ = _euler_pass(model, s_vector(model, 1.0), S, cutoff)
+    return math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite) ** ep_rank(model) * full.real
 
 
 def theta_factored(model, S: Sequence[Place], cutoff: int = 10_000) -> float:

@@ -18,9 +18,10 @@ vol(a*E) = |a| vol(E) holds at every place.  The multiplicative measure is
 dx/|x| at archimedean places and (1 - 1/q)^{-1} dx/|x| at finite places.
 The additive character is psi(x) = e^{2 pi i x_p} at Q_p (x_p the p-power
 fractional part), e^{-2 pi i x} on R and e^{-4 pi i Re(x)} on C.
-Tate integrals and archimedean Fourier transforms are
-``oscillatory.osc_integral_1d`` at special arguments (a = 0, d = 1, and
-d = s = 1), imported at call time since that module imports this one.
+Tate integrals and the Fourier transforms of test functions, at every
+place, are ``oscillatory.osc_integral_1d`` at special arguments (a = 0,
+d = 1, and d = s = 1), imported at call time since that module imports
+this one.
 """
 
 from __future__ import annotations
@@ -114,19 +115,8 @@ class Place:
     def is_archimedean(self) -> bool:
         return self.kind != "finite"
 
-    @property
-    def q(self) -> int:
-        """Residue field cardinality (finite places over Q: q = p)."""
-        if not self.is_finite:
-            raise ValueError("q is defined at finite places only")
-        return self.prime
-
     def __str__(self):
         return self.kind if self.is_archimedean else f"Q_{self.prime}"
-
-
-REAL = Place.real()
-COMPLEX = Place.complex_()
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +212,6 @@ def psi(place: Place, x) -> complex:
     if place.kind == "real":
         return cmath.exp(-2j * math.pi * float(x))
     return cmath.exp(-4j * math.pi * complex(x).real)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """|x| <= radius, radius in the normalized value group."""
-
-    radius: Fraction | float
-
-
-@dataclass(frozen=True)
-class Coset:
-    """center + p^exponent Z_p."""
-
-    center: Fraction
-    exponent: int
-
-
-def haar_volume(place: Place, region) -> Fraction | float:
-    if isinstance(region, Coset):
-        if not place.is_finite:
-            raise ValueError("cosets only make sense at finite places")
-        return Fraction(place.prime) ** (-region.exponent)
-    r = region.radius
-    if place.kind == "real":
-        return 2 * r
-    if place.kind == "complex":
-        return TWO_PI * float(r)
-    p = place.prime
-    k = padic(p).valuation(Fraction(r))
-    if Fraction(p) ** k != Fraction(r):
-        raise ValueError(f"radius {r} not in the value group of Q_{p}")
-    return Fraction(p) ** k
 
 
 def zeta_local(place: Place, s):
@@ -589,7 +547,10 @@ def tate_integral(place: Place, phi, s) -> complex:
 
 
 class ArchFourierTransform:
-    """The Fourier transform of an archimedean test function: ``osc_integral_1d`` at d = s = 1."""
+    """The Fourier transform a -> int phi(x) psi(a x) dx of a test function
+    at any place: ``osc_integral_1d`` at d = s = 1, exact at a finite
+    place.  A test function that does not fit the place raises ValueError
+    when the transform is evaluated."""
 
     def __init__(self, place: Place, phi):
         self.place = place
@@ -601,28 +562,7 @@ class ArchFourierTransform:
         return osc_integral_1d(self.place, self.phi, a, 1, 1).value
 
 
-def fourier_test_fn(place: Place, phi):
-    """Fourier transform f -> f^(a) = int f(x) psi(ax) dx.
-
-    At a finite place the result is again a StepFunction, computed exactly
-    from finite character sums; at archimedean places a numeric evaluator
-    is returned.
-    """
-    if place.is_archimedean:
-        return ArchFourierTransform(place, phi)
-    if not isinstance(phi, StepFunction) or phi.p != place.prime:
-        raise ValueError("finite-place transforms take a StepFunction at the same prime")
-    p, k, m = phi.p, phi.support_exp, phi.level
-    ctx = padic(p)
-    new_k, new_m = m, max(k, 0)
-    table: dict[int, complex] = {}
-    vol = Fraction(1, p**m)
-    for jprime in range(p ** (new_k + new_m)):
-        a = Fraction(jprime) * Fraction(p) ** (-new_k)
-        ps = PhaseSum()
-        for rep, v in phi.classes():
-            ps.add(ctx.frac_part(a * rep), vol, v)
-        val = ps.value()
-        if val != 0:
-            table[jprime] = val
-    return StepFunction(p, new_m, new_k, table)
+def fourier_test_fn(place: Place, phi) -> ArchFourierTransform:
+    """Fourier transform f -> f^(a) = int f(x) psi(ax) dx, as an evaluator
+    in a."""
+    return ArchFourierTransform(place, phi)

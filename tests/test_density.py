@@ -14,7 +14,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 
 import heightzeta
 from heightzeta.boundary import exponent_b
-from heightzeta.catalog import MODELS, get_model
+from heightzeta.catalog import MODELS, CompactificationModel, get_model
 from heightzeta.density import (
     arch_density,
     brute_density_oracle,
@@ -365,6 +365,19 @@ def test_fourier_finite_pinned(mid, p, a, s0, want):
     assert abs(got - want) <= 1e-14 * want, got
 
 
+def test_fourier_finite_past_the_float_range():
+    # at s = 1.6 the shells shrink like 7^{-2.8 j}, so those past the float
+    # range of p^{jk} (j > 182) add nothing: valuations 180 and 200 agree
+    E6 = get_model("E6")
+    at180 = fourier_finite(E6, 7, (7**180, 0), 1.6)
+    assert repr(at180) == "(1.0042329510715917+0j)"
+    assert fourier_finite(E6, 7, (7**200, 0), 1.6) == at180
+    # at s = 0.3 the shells grow like 7^{1.1 j}, and valuation 400 passes
+    # the float range
+    with pytest.raises(NumericError):
+        fourier_finite(E6, 7, (7**400, 0), 0.3)
+
+
 def test_char_bound_decay():
     # |1 - H^_p(a;s) prod(...)| * p^{3/2} bounded over p <= 100, stable
     primes = [p for p in range(2, 101) if all(p % q for q in range(2, p))]
@@ -533,6 +546,32 @@ def test_theta_cross_validation():
             t1 = theta_constant(m, S, prime_cutoff=4000).theta
             t2 = theta_factored(m, S, cutoff=4000)
             assert abs(t1 - t2) <= 1e-12 * abs(t1), (mid, primes, t1, t2)
+
+
+def test_theta_factored_block_models():
+    # the boundary masses are products over the blocks, so the factored
+    # route equals the pole route up to the (b-1)! it does not divide by
+    # (ROADMAP item 1; its fix drops the factorial here)
+    T3 = {"Dx": (0,), "Dy": (1,), "Dz": (2,)}
+    P2xP1 = {"H": (0, 1), "D": (2,)}
+    models = [get_model(mid) for mid in ("E1", "E3", "E4", "E5")] + [
+        CompactificationModel(name, blocks, removed=removed)
+        for name, blocks, removed in [
+            ("T3", T3, {"Dx", "Dy", "Dz"}),
+            ("T3", T3, {"Dy", "Dz"}),
+            ("T3", T3, {"Dz"}),
+            ("P2xP1", P2xP1, {"H"}),
+            ("P2xP1", P2xP1, {"D"}),
+            ("P2xP1", P2xP1, {"H", "D"}),
+        ]
+    ]
+    for m in models:
+        for primes in ((), (5,), (2, 3)):
+            S = [R] + [Place.finite(p) for p in primes]
+            pole = theta_constant(m, S, prime_cutoff=4000)
+            fact = theta_factored(m, S, cutoff=4000)
+            want = math.factorial(pole.b - 1) * pole.theta
+            assert abs(fact - want) <= 1e-12 * want, (m.id, sorted(m.divisors.removed), primes, fact, want)
 
 
 def test_positivity():

@@ -628,3 +628,5 @@ def test_test_function_must_fit_the_place(place, phi):
         inverse_phase_integral(place, phi, 3, 1, 2.0)
     with pytest.raises(ValueError, match="test functions at"):
         tate_integral(place, phi, 2.0)
+    with pytest.raises(ValueError, match="test functions at"):
+        fourier_test_fn(place, phi)(1)
