@@ -25,7 +25,8 @@ s = 1, and the local factors at the places of S times (s-1)^m the mean of
 that analytic function over a small circle about s = 1.  The Euler product
 over p outside S, regularized by zeta convergence factors, is one array
 evaluation of the stratum-count formula over the primes, multiplied left
-to right; ``threads`` has no effect.
+to right, and the factors at the primes of S one more, over those primes
+and the nodes of the circle; ``threads`` has no effect.
 """
 
 from __future__ import annotations
@@ -70,13 +71,15 @@ class ThetaResult:
 
 
 def s_vector(model: CompactificationModel, s0) -> dict:
-    """The log-anticanonical direction: s_alpha = lambda_alpha * s0."""
-    return {a: model.divisors.lam(a) * complex(s0) for a in model.divisors.labels}
+    """The log-anticanonical direction: s_alpha = lambda_alpha * s0, for a
+    scalar s0 or elementwise over an array of them."""
+    s0 = complex(s0) if np.isscalar(s0) else np.asarray(s0, dtype=complex)
+    return {a: model.divisors.lam(a) * s0 for a in model.divisors.labels}
 
 
 def _s_map(model, s) -> dict:
     if isinstance(s, dict):
-        return {a: complex(v) for a, v in s.items()}
+        return {a: complex(v) if np.isscalar(v) else np.asarray(v, dtype=complex) for a, v in s.items()}
     return s_vector(model, s)
 
 
@@ -89,13 +92,14 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
     finite-field stratum counts.  With ``restrict`` the integral runs over
     the integral points (strata inside the removed components excluded);
     without it, over all of X(Q_p) -- the form used at places in S.  ``p``
-    is a prime, or an integer array of primes for one value per prime.
+    is a prime or an integer array of primes and ``s`` an s0 or an array of
+    them: the value has their broadcast shape, a Python complex for scalars.
     """
     smap = _s_map(model, s)
     q = np.asarray(p, dtype=np.int64)
     lnq = np.log(q)
     qdim = q.astype(float) ** model.dim
-    total = np.zeros(q.shape, dtype=complex)
+    total = np.zeros(np.broadcast(q, *smap.values()).shape, dtype=complex)
     for A in [frozenset()] + model.incidence_faces():
         if restrict and A & model.divisors.removed:
             continue
@@ -109,8 +113,9 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
             denom = np.exp(w * lnq) - 1.0
             pole = np.abs(denom) < 1e-13
             if np.any(pole):
-                raise PoleError(f"local density pole at p={q[pole][0]}, alpha={alpha}")
-            term *= (q - 1) / denom
+                at, s_at = (np.broadcast_to(x, pole.shape)[pole][0] for x in (q, smap[alpha]))
+                raise PoleError(f"local density pole at p={at}, s_{alpha}={s_at}, alpha={alpha}")
+            term = term * ((q - 1) / denom)
         total += term
     return complex(total) if total.ndim == 0 else total
 
@@ -516,24 +521,25 @@ def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> 
     (s-1) zeta_S(w_alpha(s)), and the regularized product over the primes
     off S.  The last two are analytic at s = 1, with the values tau_adelic
     (the residues prod_{p in S} (1 - 1/p) included) and 1/rho_alpha; the
-    first is analytic near s = 1, and its value there is its mean over a
-    circle about s = 1.  ``euler_tail`` is Theta times the relative change
-    of the product between half the prime cutoff and the cutoff.  A cutoff
-    below the smallest prime off S, which leaves the product empty, raises
-    ConfigError."""
+    first is analytic near s = 1, its value there its mean over 16 nodes on
+    a circle, with the factors at the primes of S one ``denef_density``
+    array.  ``euler_tail`` is Theta times the relative change of the product
+    between half the prime cutoff and the cutoff.  A cutoff below the least
+    prime off S, which leaves the product empty, raises ConfigError."""
     in_S = {v.prime for v in S}
     first = next(p for p in itertools.count(2) if is_prime(p) and p not in in_S)
     if prime_cutoff < first:
         raise ConfigError(f"prime cutoff {prime_cutoff} is below {first}, the smallest prime off S")
     b = exponent_b(model, S)
     m = b - ep_rank(model)
+    zs = [_CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / _CONTOUR_NODES) for k in range(_CONTOUR_NODES)]
+    primes = [v.prime for v in S if v.is_finite]
+    local = denef_density(model, np.array(primes)[:, None], np.array(zs) + 1.0, restrict=False) if primes else ()
     mean = 0j
-    for k in range(_CONTOUR_NODES):
-        z = _CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / _CONTOUR_NODES)
+    for k, z in enumerate(zs):
         val = z**m * arch_density(model, 0, 1.0 + z)
-        for v in S:
-            if v.is_finite:
-                val *= denef_density(model, v.prime, s_vector(model, 1.0 + z), restrict=False)
+        for row in local:
+            val *= complex(row[k])
         mean += val
     _, full, half = _euler_pass(model, s_vector(model, 1.0), S, prime_cutoff)
     residue = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite) ** ep_rank(model)

@@ -195,6 +195,8 @@ def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex) -> OscillatoryResul
     vmin = phi.support_min_valuation()
     m_a = max(0, -ctx.valuation(a)) if a != 0 else 0
     K = max(m_phi, -(-m_a // d), vmin)
+    # p^-s exact at a real integer s: each weight and the tail round once (past 1074, p^-s is 0 in float)
+    x = Fraction(p) ** -int(s.real) if s.imag == 0.0 and s.real.is_integer() and s.real <= 1074 else None
     parts = []
     for v in range(vmin, K):
         aprime = a * Fraction(p) ** (v * d)
@@ -202,10 +204,12 @@ def _osc_finite_1d(phi: StepFunction, a, d: int, s: complex) -> OscillatoryResul
         pv = Fraction(p) ** v
         U = _unit_shell_integral(p, aprime, d, lambda u: phi.value_at(pv * u), lf)
         if U != 0:
-            parts.append(cmath.exp(-v * s * lnp) * U)
+            parts.append((cmath.exp(-v * s * lnp) if x is None else float(x**v)) * U)
     v0 = phi.value_at(0)
-    if v0 != 0:
-        # shells v >= K: psi trivial and phi constant; geometric tail
+    # shells v >= K: psi trivial and phi constant; geometric tail
+    if v0 != 0 and x is not None:
+        parts.append(v0 * float((1 - Fraction(1, p)) * x**K / (1 - x)))
+    elif v0 != 0:
         parts.append(v0 * (1.0 - 1.0 / p) * cmath.exp(-K * s * lnp) / (1.0 - cmath.exp(-s * lnp)))
     value = complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
     return OscillatoryResult(value, exact=True)

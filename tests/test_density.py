@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad, quad
 
 import heightzeta
-from heightzeta.boundary import exponent_b
+from heightzeta import density
+from heightzeta.boundary import ep_rank, exponent_b
 from heightzeta.catalog import MODELS, CompactificationModel, get_model
 from heightzeta.density import (
     arch_density,
@@ -80,6 +82,60 @@ def test_denef_density_array_matches_scalar():
                 assert np.all(np.abs(got - scalar) <= 2e-15 * np.abs(scalar)), (mid, restrict, s0)
     with pytest.raises(PoleError, match="p=2,"):
         denef_density(get_model("E2"), primes, 0.5)
+
+
+CONTOUR = 1.0 + 0.03 * np.exp(2j * np.pi * np.arange(16) / 16)
+
+
+def test_denef_density_broadcasts_over_s():
+    primes = np.array(primes_upto(60))[:, None]
+    nodes = np.concatenate([CONTOUR, [1.05, 2.0, 2.3 + 0.7j]])
+    for mid in MODELS:
+        m = get_model(mid)
+        for restrict in (True, False):
+            got = denef_density(m, primes, nodes, restrict=restrict)
+            assert got.shape == (len(primes), len(nodes))
+            want = np.array([[denef_density(m, int(p), s, restrict=restrict) for s in nodes] for p in primes[:, 0]])
+            assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want)), (mid, restrict)
+            assert np.array_equal(denef_density(m, primes, s_vector(m, nodes), restrict=restrict), got)
+            assert type(denef_density(m, 5, complex(nodes[3]), restrict=restrict)) is complex
+
+
+def test_denef_pole_in_s_array():
+    # E2 has w = s_alpha - rho_alpha + 1 = 0 at s0 = 1/2: the pole is named at the first prime
+    with pytest.raises(PoleError, match="p=3, s_"):
+        denef_density(get_model("E2"), np.array([[3], [5]]), np.array([1.5, 0.5, 2.0]))
+
+
+def _theta_scalar_loop(model, S, prime_cutoff):
+    """theta_constant with one scalar denef_density call per contour node and
+    prime of S: the reference for the array evaluation of the contour."""
+    b = exponent_b(model, S)
+    m = b - ep_rank(model)
+    mean = 0j
+    for k in range(density._CONTOUR_NODES):
+        z = density._CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / density._CONTOUR_NODES)
+        val = z**m * arch_density(model, 0, 1.0 + z)
+        for v in S:
+            if v.is_finite:
+                val *= denef_density(model, v.prime, s_vector(model, 1.0 + z), restrict=False)
+        mean += val
+    _, full, _ = density._euler_pass(model, s_vector(model, 1.0), S, prime_cutoff)
+    tau = math.prod(1.0 - 1.0 / v.prime for v in S if v.is_finite) ** ep_rank(model) * full.real
+    theta = tau * (mean.real / density._CONTOUR_NODES) / math.factorial(b - 1)
+    for alpha in model.divisors.kept:
+        theta /= model.divisors.rho_of(alpha)
+    return theta
+
+
+@pytest.mark.parametrize("primes", [(5,), (2, 3), (2, 3, 5, 7)])
+def test_theta_contour_matches_scalar_loop(primes):
+    S = [R] + [Place.finite(p) for p in primes]
+    for mid in MODELS:
+        for cutoff in (500, 10_000):
+            got = theta_constant(get_model(mid), S, prime_cutoff=cutoff).theta
+            want = _theta_scalar_loop(get_model(mid), S, cutoff)
+            assert abs(got - want) <= 1e-15 * abs(want), (mid, primes, cutoff, got, want)
 
 
 def test_denef_equals_oracle_grid():

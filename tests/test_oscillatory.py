@@ -171,6 +171,26 @@ def test_osc1d_zero_phase_matches_direct():
     assert abs(got.value - direct) < 1e-12
 
 
+def test_osc1d_integer_s_exact_powers():
+    # at an integer s the shell weights p^(-v s) and the tail are exact before
+    # one rounding: the indicator of p^-k Z_p integrates to p^k itself
+    for p in (2, 3, 5, 7):
+        for k in range(5):
+            phi = StepFunction(p, 0, k, {j: 1.0 for j in range(p**k)})
+            assert fourier_test_fn(Place.finite(p), phi)(0) == p**k, (p, k)
+        got = osc_integral_1d(Place.finite(p), StepFunction.indicator_zp(p), 0, 1, 2).value
+        assert got == float(F(p, p + 1)), p
+
+
+def test_osc1d_seeded_table_vs_mpmath():
+    rng = np.random.default_rng(0)
+    table = {j: complex(*rng.uniform(-1.0, 1.0, 2)) for j in range(27)}
+    got = fourier_test_fn(Place.finite(3), StepFunction(3, 1, 2, table))(0)
+    with mpmath.workdps(40):
+        want = mpmath.fsum(mpmath.mpc(v.real, v.imag) for v in table.values()) / 3
+        assert abs(mpmath.mpc(got.real, got.imag) - want) <= 1.2e-16 * abs(want), (got, want)
+
+
 def test_osc1d_refinement_bit_identical():
     phi = StepFunction(2, 1, 0, {0: 1.0, 1: 0.5 + 0.25j})
     for a in [F(1, 8), F(3, 16), F(1, 64)]:
