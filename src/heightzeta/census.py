@@ -5,8 +5,10 @@ and equidistribution tables.
 A model is a product of blocks P^k, so N(B) is a Dirichlet convolution of
 one height count per block on n = floor(B): S-unit sums for a removed
 block, a Moebius sum for a kept one.  One block is Python integer
-arithmetic, a convolution int64 arrays where the budget bounds every
-value, so no point is miscounted and no result depends on a thread count.
+arithmetic (a kept one reads its small quotients off an int64 sieve head),
+a convolution int64 arrays; the budget, and the head's size, bound every
+int64 value below 2^63, so no point is miscounted and no result depends on
+a thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import zeta as _riemann_zeta
@@ -90,37 +92,25 @@ def iroot(n, k: int):
 
 def _jordan_upto(n: int, k: int) -> np.ndarray:
     """Jordan's totient J_k(0..n) = m^k prod_{p | m} (1 - p^-k) as int64
-    (k = 1 is Euler phi): the primes up to sqrt(n) by slices, then the at
-    most one prime factor above sqrt(n) that each index keeps."""
-    J = np.arange(n + 1, dtype=np.int64) ** k
-    rest = np.arange(n + 1, dtype=np.int64)
+    (k = 1 is Euler phi): the primes up to sqrt(n) by slices, which also
+    multiply up each index's part s over those primes, then the at most one
+    prime P above sqrt(n): J_k(m) = P^k J_k(s) - J_k(s), a gather of J at s.
+    Every value is at most n^k, which the callers keep below 2^63: a kept
+    block's table by _kept_head or the convolution's guard in _work, the
+    volumes with k <= 2 and n below 3e6 by the budget."""
+    idx = np.arange(n + 1, dtype=np.int64)
+    J = idx**k
+    small = np.ones(n + 1, dtype=np.int64)
     for p in primes_upto(isqrt(n)):
         J[p::p] -= J[p::p] // p**k
         pk = p
         while pk <= n:
-            rest[pk::pk] //= p
+            small[pk::pk] *= p
             pk *= p
-    big = rest > 1
-    J[big] -= J[big] // rest[big] ** k
+    small[small == idx] = 0  # no prime above sqrt(n); J[0] = 0
+    small[0] = 0
+    J -= J[small]
     return J
-
-
-def _mobius_sum(T: int, f: Callable[[int], int]) -> int:
-    """sum_{d <= T} mu(d) f(floor(T/d)) without a Moebius sieve.  The sum
-    P(t) satisfies f(t) = sum_{g <= t} P(floor(t/g)), solved for P over the
-    O(sqrt T) values floor(T/g) in increasing order, O(T^(3/4)) steps
-    (Deleglise-Rivat)."""
-    r = isqrt(T)
-    P: dict[int, int] = {}
-    for v in sorted({T // g for g in range(1, r + 1)} | set(range(1, r + 1))):
-        acc, g = f(v), 2
-        while g <= v:
-            q = v // g
-            top = v // q
-            acc -= (top - g + 1) * P[q]
-            g = top + 1
-        P[v] = acc
-    return P[T]
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +173,60 @@ def count_sintegers(B: Fraction, primes: list[int]) -> int:
 
 def _kept_table(T: int, k: int) -> np.ndarray:
     """#P^k(Q) of height <= h for h = 0..T: sum_j c_j J_j(m) points have height
-    m, c_j the coefficients of m (2m + 1)^k - (m - 1)(2m - 1)^k (4 Phi - 1 if k = 1)."""
+    m, c_j the coefficients of m (2m + 1)^k - (m - 1)(2m - 1)^k (4 Phi - 1 if k = 1).
+    Its values are at most T (2T + 1)^k, the points m/e with |m_i|, e <= T."""
     up = [math.comb(k, i) << i for i in range(k + 1)]  # (2m + 1)^k = sum_i up_i m^i
     c = [(-1) ** (k - j) * up[j] + (1 + (-1) ** (k - j)) * up[j - 1] for j in range(1, k + 1)]
     g = sum(cj * _jordan_upto(T, j) for j, cj in enumerate(c, 1))
     g[1] += (-1) ** k  # c_0 J_0, J_0(m) = [m = 1]
     return np.cumsum(g)
+
+
+def _kept_head(T: int, k: int) -> tuple[int, float]:
+    """The size L of the sieve head of _kept_count(T, k) and that count's
+    steps: L about T^(2/3), less where an int64 value could reach
+    2 3^k T (L + 1)^k >= 2^63 (k >= 3 near the budget top), for L + T/sqrt(L)
+    steps; no head, and the plain recursion's T^(3/4) steps, where those are
+    fewer (below T = 2^12 at full size).  So a head has L > sqrt(T)."""
+    L = min(iroot(T * T, 3), iroot((2**63 - 1) // (2 * 3**k * T), k) - 1)
+    steps, plain = L + T / math.sqrt(L) if L > 0 else math.inf, float(min(T, 2**1000)) ** 0.75
+    return (L, steps) if steps < plain else (0, plain)
+
+
+def _kept_count(T: int, k: int) -> int:
+    """#P^k(Q) of height <= T: P(T) = sum_{d <= T} mu(d) f(floor(T/d)) with
+    f(t) = t (2t + 1)^k, without a Moebius sieve.  P solves f(v) =
+    sum_{g <= v} P(floor(v/g)) for every v, and only the values v =
+    floor(T/g) are needed.  P(0..L) is read off one _kept_table(L, k), the
+    head (L from _kept_head); the O(T^(1/3)) values above L are solved in
+    increasing order in O(sqrt v) steps each, O(T^(2/3)) in all
+    (Deleglise-Rivat, Helfgott-Thompson): the g with floor(v/g) > L in
+    Python integers, one run of equal quotients at a time, the others as
+    two int64 gathers from the head: each g up to sqrt(v), then each
+    quotient q below sqrt(v) times its number of g.  Both gather P(q) at
+    q <= L only, so each int64 sum is at most sum_{g: floor(v/g) <= L}
+    f(floor(v/g)) <= f(L) + v int_1^(L+1) (3u)^k du/u <= 2 3^k T (L + 1)^k
+    < 2^63.  With no head (L = 0) this is the plain recursion over every
+    value, O(T^(3/4)) steps."""
+    L = _kept_head(T, k)[0]
+    head = _kept_table(L, k) if L else None
+    r = isqrt(T)
+    P: dict[int, int] = {}
+    for v in sorted({T // g for g in range(1, min(r, T // (L + 1)) + 1)} | set(range(L + 1, r + 1))):
+        acc, g = v * (2 * v + 1) ** k, 2
+        while g <= v:
+            q = v // g
+            if q <= L:
+                break
+            top = v // q
+            acc -= (top - g + 1) * P[q]
+            g = top + 1
+        if L:  # the g from here on have v // g <= L, and L > sqrt(v)
+            rv = isqrt(v)
+            qs = np.arange(1, v // (rv + 1) + 1)
+            acc -= int(head[v // np.arange(g, rv + 1)].sum()) + int((v // qs - v // (qs + 1)) @ head[qs])
+        P[v] = acc
+    return P[T]
 
 
 def _convolve(n: int, lam: int, C_X, A_Y) -> int:
@@ -206,12 +244,13 @@ def _count(blocks: tuple, n: int, primes: tuple[int, ...]) -> int:
     prod h_alpha^lambda_alpha <= n.  A removed P^k counts Z[1/S]^k by common
     S-unit denominator, a kept one all of P^k(Q), integral everywhere, by
     sum_{d <= h} mu(d) t (2t + 1)^k, t = floor(h/d).  One block is counted in
-    Python integers, more by convolving each into the count of the rest."""
+    Python integers (_kept_count if kept), more by convolving each into the
+    count of the rest."""
     tops = [iroot(n, lam) for _, lam, _ in blocks]
     units = _SUnits(primes, max((T for T, b in zip(tops, blocks) if b[2]), default=0))
     if len(blocks) == 1:
         (k, _, removed), T = blocks[0], tops[0]
-        return units.count(T, k) if removed else _mobius_sum(T, lambda t: t * (2 * t + 1) ** k)
+        return units.count(T, k) if removed else _kept_count(T, k)
     C = [(lambda h, k=k: units.count(h, k)) if rem else _kept_table(T, k).__getitem__
          for (k, _, rem), T in zip(blocks, tops)]
 
@@ -229,7 +268,8 @@ def _work(blocks: tuple, primes: tuple, n: int) -> float:
     heights T = floor(n^(1/lambda)) and D denominators (1..T if kept, else
     S-units, at most a simplex volume), volume_V loops over D^k tuples per
     removed and T per kept block, both list the S-units, a lone kept block
-    is T^(3/4) Moebius steps and a convolution 3^#S array steps per point;
+    is the steps of _kept_count from _kept_head (about 2 T^(2/3) with a head
+    of T^(2/3), T^(3/4) without) and a convolution 3^#S array steps per point;
     its int64 values stay below prod D (2T + 1)^k, else the work is inf."""
     logs = [math.log(p) for p in primes]
     tops = [iroot(n, lam) for _, lam, _ in blocks]
@@ -238,7 +278,7 @@ def _work(blocks: tuple, primes: tuple, n: int) -> float:
     work = math.prod(d**k if rem else d for d, (k, _, rem) in zip(D, blocks))
     work += 12 * max((d for d, (_, _, rem) in zip(D, blocks) if rem), default=0)
     if len(blocks) == 1:
-        return work if blocks[0][2] else work + D[0] ** 0.75
+        return work if blocks[0][2] else work + _kept_head(tops[0], blocks[0][0])[1]
     if sum(math.log(d) + k * math.log(2 * T + 1) for d, T, (k, _, _) in zip(D, tops, blocks)) >= 63 * math.log(2):
         return math.inf
     return work + 3 ** len(logs) * math.prod(2 * n ** (1 / (lam + 1)) for _, lam, _ in blocks[:-1])
@@ -284,11 +324,19 @@ def _float_B(B) -> float:
         raise NumericError(f"B = {_shown(B)} is past the float range of volumes and count tables") from None
 
 
+def _sum_left(terms: np.ndarray) -> float:
+    """The float sum of terms added left to right, as a Python loop adds
+    them (np.sum adds pairwise, with other roundings)."""
+    return float(np.cumsum(terms)[-1])
+
+
 def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
     """Adelic volume of the height ball H <= B (integral off S): closed forms
     over finite-place denominators, phi(e) for an S-unit e and J_2(d) for E6's
     common d.  Per model, since a sum read off the blocks would add other
-    floats in another order, and the volumes are pinned to the bit."""
+    floats in another order, and the volumes are pinned to the bit: E4's and
+    E6's terms are numpy arrays built with the operations of the loops they
+    replaced and added in the same order."""
     B = Fraction(B)
     Bf = _float_B(B)
     if Bf < 1:
@@ -302,13 +350,9 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
         return 2.0 * T * float(np.sum(phis / ds))
     if mid == "E6":
         T = iroot(n, 3)
-        J2 = _jordan_upto(T, 2).tolist()
-        total = 0.0
-        for d in range(1, T + 1):
-            t = Bf ** (1.0 / 3.0) / d
-            if t >= 1.0:
-                total += J2[d] * 4.0 * t * t
-        return total
+        t = Bf ** (1.0 / 3.0) / np.arange(1, T + 1, dtype=float)
+        # the loop's float test, which drops d = T when B is a perfect cube
+        return _sum_left((_jordan_upto(T, 2)[1:] * 4.0 * t * t)[t >= 1.0])
     # phi(e) from the prime support of e; E3's F = lcm(e1, e2) needs e^2 <= B
     denoms = [
         (e, e // math.prod(supp) * math.prod(p - 1 for p in supp))
@@ -335,16 +379,15 @@ def volume_V(model: CompactificationModel, S: Sequence[Place], B) -> float:
                 total += phi1 * phi2 * (4.0 * T + 4.0 * T * math.log(T))
         return total
     if mid == "E4":
-        total = 0.0
         T = int(math.sqrt(Bf))
-        phis = _jordan_upto(T, 1)[1:].astype(float).tolist()
-        for e, phi in denoms:
-            for d in range(1, T + 1):
-                Teff = Bf / (d * d * e)
-                if Teff < 1.0:  # and for every later d
-                    break
-                total += phis[d - 1] * phi * (8.0 * Teff - 4.0 * math.sqrt(Teff))
-        return total
+        phis = _jordan_upto(T, 1)[1:].astype(float)
+        # the pairs (e, d), d = 1..D_e for each e in turn; d^2 e > n + 3 past D_e
+        D = np.array([min(T, isqrt(n // e) + 1) for e, _ in denoms])
+        e = np.repeat([e for e, _ in denoms], D)
+        d = np.arange(1, len(e) + 1) - np.repeat(np.cumsum(D) - D, D)
+        Teff = Bf / (d * d * e).astype(float)
+        terms = phis[d - 1] * np.repeat([float(phi) for _, phi in denoms], D) * (8.0 * Teff - 4.0 * np.sqrt(Teff))
+        return _sum_left(terms[Teff >= 1.0])  # each e's loop over d stopped at Teff < 1
     raise ConfigError(f"volume_V does not support {mid}")
 
 

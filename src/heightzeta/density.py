@@ -306,14 +306,15 @@ def _finite_block_transform(p: int, k: int, t: complex, b: tuple) -> complex:
     return total
 
 
-def fourier_finite(model, p: int, a, s) -> complex:
+def fourier_finite(model, p: int, a, s):
     """Exact local Fourier transform int delta prod ||f||^{s} psi(<a,x>) dx
     at a finite place.  It vanishes outside the unit character lattice
     Z_p^n (the height is invariant under translation by G(Z_p)).  Inside
     it, and at a != 0, it is the product over the kept labels of the closed
     form of ``_finite_block_transform`` on their blocks: a removed block
     integrates psi over Z_p^k, which gives 1.  At a = 0 it is
-    ``denef_density``."""
+    ``denef_density``.  An array ``s`` (or map of them) gives the array of
+    the scalar values, one call each."""
     if isinstance(a, (int, Fraction)):
         a = (a,)
     a = tuple(Fraction(t) for t in a)
@@ -321,10 +322,14 @@ def fourier_finite(model, p: int, a, s) -> complex:
         raise ValueError("character dimension mismatch")
     if all(t == 0 for t in a):
         return denef_density(model, p, s, restrict=True)
+    smap = _s_map(model, s)
+    if any(isinstance(v, np.ndarray) for v in smap.values()):
+        cols = np.broadcast_arrays(*smap.values())
+        vals = [fourier_finite(model, p, a, dict(zip(smap, sv))) for sv in zip(*(c.ravel() for c in cols))]
+        return np.array(vals, dtype=complex).reshape(cols[0].shape)
     ctx = padic(p)
     if any(t != 0 and ctx.valuation(t) < 0 for t in a):
         return 0j
-    smap = _s_map(model, s)
     removed = model.divisors.removed
     return complex(
         math.prod(

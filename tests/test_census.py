@@ -298,6 +298,64 @@ def test_counts_pinned_to_parent():
             assert got == N, (mid, primes, B)
 
 
+def _mobius_sum_loop(T, f):
+    """sum_{d <= T} mu(d) f(floor(T/d)) by the plain O(T^(3/4)) recursion
+    that _kept_count replaced, kept as its reference."""
+    r = math.isqrt(T)
+    P = {}
+    for v in sorted({T // g for g in range(1, r + 1)} | set(range(1, r + 1))):
+        acc, g = f(v), 2
+        while g <= v:
+            q = v // g
+            top = v // q
+            acc -= (top - g + 1) * P[q]
+            g = top + 1
+        P[v] = acc
+    return P[T]
+
+
+def _budget_top(model, S):
+    """The largest n that _check_budget accepts, by bisection."""
+    lo, hi = 1, 10**20
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            census._check_budget(model, S, mid)
+            lo = mid
+        except BudgetExceededError:
+            hi = mid
+    return lo
+
+
+def test_kept_count_matches_plain_recursion():
+    """The lone kept block count with its sieve head equals the plain
+    recursion for k <= 4: every T <= 300 (no head), both sides of the
+    crossover, where the k >= 3 head shrinks under its int64 bound, and at
+    the E2 and E6 budget tops."""
+    tops = [census.iroot(_budget_top(get_model("E2"), R), 2), census.iroot(_budget_top(get_model("E6"), R), 3)]
+    assert all(2_900_000 < T < 3_000_000 for T in tops)
+    first = next(T for T in range(2, 10**4) if census._kept_head(T, 1)[0])
+    for k in (1, 2, 3, 4):
+        f = lambda t, k=k: t * (2 * t + 1) ** k
+        Ts = [*range(1, 301), *range(first - 3, first + 4), 10**4, 12_345, 10**5, 3 * 10**5, 10**6, *tops]
+        for T in Ts:
+            assert census._kept_count(T, k) == _mobius_sum_loop(T, f), (k, T)
+    # below the head's int64 bound the head shrinks: k = 4 at 1e5 and 3e5, k = 3 at the tops
+    for T, k in ((10**5, 4), (3 * 10**5, 4), (tops[0], 3)):
+        L = census._kept_head(T, k)[0]
+        assert 0 < L < census.iroot(T * T, 3) and 2 * 3**k * T * (L + 1) ** k < 2**63, (T, k)
+
+
+def test_kept_head():
+    """Each lone kept block's step count is at most the plain recursion's
+    T^(3/4), so the budget refuses no B that it accepted with T^(3/4); a
+    head holds every quotient up to sqrt(T)."""
+    for k in (1, 2, 3, 4):
+        for T in (1, 10, 4064, 4065, 10**5, 10**6, 2_929_000, 3_000_000, 10**9, 10**400):
+            L, steps = census._kept_head(T, k)
+            assert steps <= float(min(T, 2**1000)) ** 0.75 and (L == 0 or L > math.isqrt(T)), (k, T)
+
+
 def test_count_at_budget_limit():
     """E5 at the largest n the budget accepts, against 4 D(n) + 4n + 1 with
     D(n) = sum_{h <= n} floor(n/h) by the hyperbola method."""
@@ -432,6 +490,78 @@ def test_jordan_upto():
         for d in range(1, n + 1):
             acc[d::d] += J[d]
         assert acc[1:].tolist() == [m**k for m in range(1, n + 1)]
+
+
+def _jordan_loop(n, k):
+    """J_k(0..n) by the sieve with the rest divisions that _jordan_upto
+    replaced, kept as its reference."""
+    J = np.arange(n + 1, dtype=np.int64) ** k
+    rest = np.arange(n + 1, dtype=np.int64)
+    for p in census.primes_upto(math.isqrt(n)):
+        J[p::p] -= J[p::p] // p**k
+        pk = p
+        while pk <= n:
+            rest[pk::pk] //= p
+            pk *= p
+    big = rest > 1
+    J[big] -= J[big] // rest[big] ** k
+    return J
+
+
+def test_jordan_upto_matches_division_sieve():
+    rng = np.random.default_rng(3)
+    ns = [*range(0, 60), *rng.integers(60, 10**5, 8).tolist(), 2**17, 10**6]
+    for k in (1, 2, 3):
+        for n in ns:
+            assert np.array_equal(census._jordan_upto(n, k), _jordan_loop(n, k)), (n, k)
+
+
+def _volume_loop(mid, S, B):
+    """volume_V of E4 or E6 by the Python loops that the numpy terms
+    replaced, kept as their reference."""
+    Bf, n = float(B), math.floor(B)
+    if mid == "E6":
+        T = census.iroot(n, 3)
+        J2 = _jordan_loop(T, 2).tolist()
+        total = 0.0
+        for d in range(1, T + 1):
+            t = Bf ** (1.0 / 3.0) / d
+            if t >= 1.0:
+                total += J2[d] * 4.0 * t * t
+        return total
+    denoms = [(e, e // math.prod(supp) * math.prod(p - 1 for p in supp))
+              for e, supp in census._s_power_denoms(census._sf_primes(S), n)]
+    total = 0.0
+    T = int(math.sqrt(Bf))
+    phis = _jordan_loop(T, 1)[1:].astype(float).tolist()
+    for e, phi in denoms:
+        for d in range(1, T + 1):
+            Teff = Bf / (d * d * e)
+            if Teff < 1.0:
+                break
+            total += phis[d - 1] * phi * (8.0 * Teff - 4.0 * math.sqrt(Teff))
+    return total
+
+
+def test_volume_E4_E6_match_loops():
+    """The numpy volumes of E4 and E6 equal the Python loops by repr: seeded
+    B up to each budget limit, powers of ten, perfect cubes (where E6's
+    float test drops the term d = cbrt B) and fractional B."""
+    rng = np.random.default_rng(11)
+    for mid in ("E4", "E6"):
+        m = get_model(mid)
+        for primes in ((), (5,), (2, 3)):
+            S = _places(primes)
+            top = min(_budget_top(m, S), 10**16)  # E6's top, at 2.5e19, is below
+            Bs = {top, 1, 2, 8, *(10**j for j in range(1, 17) if 10**j <= top)}
+            Bs |= {c**3 for c in (2, 3, 10, 21, 100, 215, 1000, 4641, 10**4, 10**5) if c**3 <= top}
+            Bs |= {round(math.exp(x)) for x in rng.uniform(0, math.log(top), 12)}
+            Bs |= {F(int(x), 7) for x in rng.integers(7, 7 * min(top, 10**9), 3)}
+            for B in sorted(Bs):
+                assert repr(volume_V(m, S, B)) == repr(_volume_loop(mid, S, B)), (mid, primes, B)
+    E6top = _budget_top(get_model("E6"), R)
+    for B in (E6top, census.iroot(E6top, 3) ** 3):
+        assert repr(volume_V(get_model("E6"), R, B)) == repr(_volume_loop("E6", R, B)), B
 
 
 def test_volume_E1_finite_place():

@@ -395,6 +395,23 @@ def test_fourier_finite_brute(mid, p, a, s0):
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
+def test_fourier_finite_array_s():
+    """An array s at a nonzero character gives the scalar values in its
+    shape, at characters of valuation 0 to 3; off Z_p^n, zeros of that shape."""
+    s_arr = np.array([[1.5, 2.0, 2.5], [1.7 + 0.3j, 3.0, 1.9 - 0.2j]])
+    for mid in ("E2", "E3", "E4", "E5", "E6"):
+        m = get_model(mid)
+        for p in (2, 3, 5):
+            for v in range(4):
+                for a in ((p**v * (p + 1),) + (0,) * (m.dim - 1), (p ** (v + 1),) * (m.dim - 1) + (p**v,)):
+                    got = fourier_finite(m, p, a, s_arr)
+                    assert got.shape == s_arr.shape and got.dtype == complex
+                    want = [[fourier_finite(m, p, a, complex(t)) for t in row] for row in s_arr]
+                    assert got.tolist() == want, (mid, p, a)
+            off = fourier_finite(m, p, (F(1, p),) + (0,) * (m.dim - 1), s_arr)
+            assert off.shape == s_arr.shape and not off.any()
+
+
 def test_fourier_finite_nonconvergent():
     # E4's kept block at a zero character is 1 + (1 - 1/p) r/(1 - r) with
     # r = p^{1 - 2 s}, which diverges at s = 1/2
