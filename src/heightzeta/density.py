@@ -17,6 +17,8 @@ Two independent routes compute the local density at a finite place:
   cell by probing it at several exact rational points, and the unbounded
   directions are summed as certified geometric series.  It never touches
   stratum counts, so agreement with the formula is a genuine cross-check.
+  The cells are certified once per model, prime and integrality flag and
+  reused for every s and depth; the convergence check runs on every call.
 
 The leading constant is the normalized pole coefficient
 lim (s-1)^b H^(0; s lambda) / (b-1)!, read at s = 1: the zeta factors
@@ -174,6 +176,23 @@ class _CellProber:
         return seen[1]
 
 
+# one prober per model, prime and integrality flag, as ``padic`` keeps one
+# context per prime: a cell's exponents depend on neither s nor the depth, so
+# each cell is certified once and serves every later call (a cell that fails
+# its check is not stored, and fails again).  The key is the blocks and the
+# removed set, not the model id, which several models share.
+_PROBERS: dict[tuple, _CellProber] = {}
+
+
+def _prober(model, p: int, restrict: bool) -> _CellProber:
+    blocks = tuple((alpha, tuple(idx)) for alpha, idx in model.norm_coords.items())
+    key = (blocks, model.divisors.removed, p, restrict)
+    prober = _PROBERS.get(key)
+    if prober is None:
+        prober = _PROBERS[key] = _CellProber(model, p, restrict)
+    return prober
+
+
 def _cell_volume(p: int, cell) -> Fraction:
     if cell == _ZP:
         return Fraction(1)
@@ -192,7 +211,7 @@ def brute_density_oracle(model, p: int, s, m: int = 3, restrict: bool = True) ->
     n = model.dim
     labels = model.divisors.labels
     lnp = math.log(p)
-    prober = _CellProber(model, p, restrict)
+    prober = _prober(model, p, restrict)
 
     def hval(evec) -> complex:
         acc = 0j
@@ -298,9 +317,12 @@ def _finite_block_transform(p: int, k: int, t: complex, b: tuple) -> complex:
         return 1.0 + (1.0 - p**-k) * r / (1.0 - r)
     v = min(vals)
     total = 1 + 0j
+    pk = p**k
+    prev, cur = 1, pk  # p^{(j-1)k} and p^{jk}
     for j in range(1, v + 1):
-        total += _times_power(p ** (j * k) - p ** ((j - 1) * k), -(t * j), lnp)
-    total -= _times_power(p ** (v * k), -(t * (v + 1)), lnp)
+        total += _times_power(cur - prev, -(t * j), lnp)
+        prev, cur = cur, cur * pk
+    total -= _times_power(prev, -(t * (v + 1)), lnp)
     if not cmath.isfinite(total):
         raise NumericError(f"the local transform at p={p} passes the float range")
     return total
@@ -447,13 +469,17 @@ def arch_density(model, a, s0) -> complex:
     """H^_inf(a; s0*lambda): the archimedean height transform, the product
     over labels alpha of the transform of max(1, |x_i| : i in the block of
     alpha)^{-lambda_alpha s0} at the block of a.  Each is closed-form at a
-    zero block."""
+    zero block.  Only blocks P^1 and P^2 have a transform; a larger block
+    raises ConfigError."""
     s0 = complex(s0)
     if not isinstance(a, (tuple, list)):
         a = (0.0,) * model.dim if a is None or a == 0 else (a,)
     avec = [float(t) for t in a]
     if len(avec) != model.dim:
         raise ValueError(f"{model.id} expects a character of dimension {model.dim}")
+    for idx in model.norm_coords.values():
+        if len(idx) not in _BLOCK_TRANSFORMS:
+            raise ConfigError(f"{model.id}: no real-place transform for a block of size {len(idx)}; sizes 1 and 2 have one")
     return math.prod(
         _BLOCK_TRANSFORMS[len(idx)]([avec[i] for i in idx], model.divisors.lam(alpha) * s0)
         for alpha, idx in model.norm_coords.items()

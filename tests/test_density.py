@@ -138,14 +138,22 @@ def test_theta_contour_matches_scalar_loop(primes):
             assert abs(got - want) <= 1e-15 * abs(want), (mid, primes, cutoff, got, want)
 
 
+T3 = {"Dx": (0,), "Dy": (1,), "Dz": (2,)}
+
+
 def test_denef_equals_oracle_grid():
-    for mid in MODELS:
-        m = get_model(mid)
-        for p in (2, 3, 5, 7):
-            for s0 in S_GRID:
-                d = denef_density(m, p, s0)
-                o = brute_density_oracle(m, p, s0, m=3)
-                assert abs(d - o) < 1e-12, (mid, p, s0)
+    cases = [(get_model(mid), p, S_GRID) for mid in MODELS for p in (2, 3, 5, 7)]
+    cases += [
+        (m, p, (1.5, 2.0 + 0.5j))
+        for m in (CompactificationModel("P3", {"H": (0, 1, 2)}), CompactificationModel("T3", T3, removed={"Dz"}))
+        for p in (2, 3)
+    ]
+    for m, p, svals in cases:
+        for s0 in svals:
+            for restrict in (True, False):
+                d = denef_density(m, p, s0, restrict=restrict)
+                o = brute_density_oracle(m, p, s0, m=3, restrict=restrict)
+                assert abs(d - o) < 1e-12, (m.id, sorted(m.divisors.removed), p, s0, restrict)
 
 
 def test_oracle_depth_independence():
@@ -153,9 +161,46 @@ def test_oracle_depth_independence():
     assert abs(brute_density_oracle(m, 3, 1.4, 2) - brute_density_oracle(m, 3, 1.4, 5)) < 1e-13
 
 
+def test_warm_oracle_equals_fresh_walk(monkeypatch):
+    # the oracle keeps one prober per model, prime and integrality flag; the
+    # reference builds a new one on every call
+    grid = [
+        (get_model(mid), p, s0, depth, restrict)
+        for depth in (2, 3, 5)
+        for restrict in (True, False)
+        for mid in MODELS
+        for p in (2, 3, 5, 7)
+        for s0 in S_GRID
+    ]
+    for m, p, s0, depth, restrict in grid:  # every cell of the grid is certified before the warm pass
+        brute_density_oracle(m, p, s0, depth, restrict)
+    warm = [repr(brute_density_oracle(m, p, s0, depth, restrict)) for m, p, s0, depth, restrict in grid]
+    monkeypatch.setattr(density, "_prober", density._CellProber)
+    fresh = [repr(brute_density_oracle(m, p, s0, depth, restrict)) for m, p, s0, depth, restrict in grid]
+    assert warm == fresh
+
+
+def test_oracle_same_id_models():
+    # three models share the id T3 and differ in their removed set alone,
+    # so each must be certified on its own integral points
+    for p in (2, 3):
+        for s0 in (1.5, 2.0 + 0.5j):
+            for removed in ({"Dx", "Dy", "Dz"}, {"Dy", "Dz"}, {"Dz"}):
+                m = CompactificationModel("T3", T3, removed=removed)
+                d = denef_density(m, p, s0)
+                o = brute_density_oracle(m, p, s0, 3)
+                assert abs(d - o) < 1e-12, (sorted(removed), p, s0)
+
+
 def test_oracle_outside_convergence():
+    m = get_model("E2")
+    warm = brute_density_oracle(m, 3, 2.0, 3)
     with pytest.raises(NonconvergentError):
-        brute_density_oracle(get_model("E2"), 3, 0.45, 3)  # s_alpha = 0.9 <= 1
+        brute_density_oracle(m, 3, 0.45, 3)  # s_alpha = 0.9 <= 1
+    # certified cells are kept across calls, but the convergence check is not
+    again = brute_density_oracle(m, 3, 2.0, 3)
+    assert repr(again) == repr(warm)
+    assert abs(again - denef_density(m, 3, 2.0)) < 1e-12
 
 
 def test_unrestricted_densities():
@@ -199,6 +244,15 @@ def _quad_joint_max(w: float) -> float:
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = dblquad(integrand, -1.0, 1.0, -1.0, 1.0, epsabs=1e-10, epsrel=1e-9)
     return val
+
+
+def test_arch_block_without_transform():
+    # blocks P^k with k >= 3 have no real-place transform yet
+    P3 = CompactificationModel("P3", {"H": (0, 1, 2)}, removed={"H"})
+    with pytest.raises(ConfigError, match="size 3"):
+        arch_density(P3, 0, 2.0)
+    with pytest.raises(ConfigError, match="size 3"):
+        theta_constant(P3, [R])
 
 
 def test_arch_quadrature_matches_closed_forms():
@@ -451,6 +505,35 @@ def test_fourier_finite_past_the_float_range():
         fourier_finite(E6, 7, (7**400, 0), 0.3)
 
 
+def test_fourier_finite_running_power_matches_per_shell_powers():
+    # the shells' integer weights p^{jk} - p^{(j-1)k} were once raised to
+    # their powers afresh at each shell j; carrying the running power gives
+    # the same integers, so the same bits
+    def per_shell(p, k, t, b):
+        lnp = math.log(p)
+        v = min(padic(p).valuation(c) for c in b if c != 0)
+        total = 1 + 0j
+        for j in range(1, v + 1):
+            total += density._times_power(p ** (j * k) - p ** ((j - 1) * k), -(t * j), lnp)
+        total -= density._times_power(p ** (v * k), -(t * (v + 1)), lnp)
+        return total
+
+    cases = [(p, p**v) for p in (2, 7) for v in range(61)] + [(7, 7**1000)]
+    for mid in ("E2", "E4", "E6"):
+        m = get_model(mid)
+        for s0 in (1.6, 1.4 + 0.5j):
+            smap = s_vector(m, s0)
+            for p, c in cases:
+                a = (F(3 * c),) + (F(0),) * (m.dim - 1)
+                want = math.prod(
+                    per_shell(p, len(idx), smap[alpha], tuple(a[i] for i in idx))
+                    for alpha, idx in m.norm_coords.items()
+                    if alpha not in m.divisors.removed
+                )
+                got = fourier_finite(m, p, a, s0)
+                assert repr(got) == repr(complex(want)), (mid, s0, p, c)
+
+
 def test_char_bound_decay():
     # |1 - H^_p(a;s) prod(...)| * p^{3/2} bounded over p <= 100, stable
     primes = [p for p in range(2, 101) if all(p % q for q in range(2, p))]
@@ -625,7 +708,6 @@ def test_theta_factored_block_models():
     # the boundary masses are products over the blocks, so the factored
     # route equals the pole route up to the (b-1)! it does not divide by
     # (ROADMAP item 1; its fix drops the factorial here)
-    T3 = {"Dx": (0,), "Dy": (1,), "Dz": (2,)}
     P2xP1 = {"H": (0, 1), "D": (2,)}
     models = [get_model(mid) for mid in ("E1", "E3", "E4", "E5")] + [
         CompactificationModel(name, blocks, removed=removed)
