@@ -121,6 +121,8 @@ def exponent_b(model, S: Sequence[Place]) -> int:
 def _check_S(S: Sequence[Place]):
     if not any(v.kind == "real" for v in S):
         raise ValueError("S must contain the real place")
+    if len(set(S)) != len(S):
+        raise ValueError("S is a set of places; a place repeats")
 
 
 def pole_orders(model, S: Sequence[Place], a) -> tuple[int, int]:

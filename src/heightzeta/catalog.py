@@ -201,9 +201,9 @@ def get_model(model_id: str) -> CompactificationModel:
 
 
 def places_from_spec(spec: Sequence) -> list[Place]:
-    """Normalize a list like ["inf", 5] or [Place, ...] into places;
-    validates that the real place is present and finite entries are from
-    the supported set {2, 3, 5, 7}."""
+    """Normalize a list like ["inf", 5] or [Place, ...] into a set of
+    places, in order: the real place must be present, no place may repeat
+    ("inf" and "real" are one), and finite entries are from {2, 3, 5, 7}."""
     out = []
     for item in spec:
         if isinstance(item, Place):
@@ -217,4 +217,6 @@ def places_from_spec(spec: Sequence) -> list[Place]:
             out.append(Place.finite(p))
     if not any(v.kind == "real" for v in out):
         raise ConfigError("S must contain the real place")
+    if len(set(out)) != len(out):
+        raise ConfigError(f"S lists a place twice: {', '.join(map(str, out))}")
     return out

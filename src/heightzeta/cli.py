@@ -140,12 +140,21 @@ def _write_artifact(cfg: ExperimentConfig, name: str, write) -> str:
     return path
 
 
-def _write_json(cfg: ExperimentConfig, name: str, payload) -> str:
-    def write(fh):
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _finite_or_null(x):
+    """``x`` with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
-    return _write_artifact(cfg, name, write)
+
+def _write_json(cfg: ExperimentConfig, name: str, payload) -> str:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:  # a non-finite float, written as null
+        text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=1, allow_nan=False)
+    return _write_artifact(cfg, name, lambda fh: fh.write(text + "\n"))
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, header, rows) -> str:

@@ -5,7 +5,7 @@ the predicted leading constant.
 The local height transforms are read off the blocks: ``arch_density`` at
 the real place, and ``fourier_finite`` at a finite place and a nonzero
 character, are products over the labels of one closed-form transform per
-block.
+block, for a block P^k of any size k.
 
 Two independent routes compute the local density at a finite place:
 
@@ -34,6 +34,7 @@ and the nodes of the circle; ``threads`` has no effect.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -96,9 +97,13 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
     without it, over all of X(Q_p) -- the form used at places in S.  ``p``
     is a prime or an integer array of primes and ``s`` an s0 or an array of
     them: the value has their broadcast shape, a Python complex for scalars.
-    """
-    smap = _s_map(model, s)
+    A prime with p^dim >= 2^63, past int64 in the stratum counts, raises
+    ConfigError."""
     q = np.asarray(p, dtype=np.int64)
+    if q.size and int(q.max()) ** model.dim >= 2**63:
+        safe = math.ceil(2.0 ** (63 / model.dim)) - 1  # the largest c with c^dim < 2^63
+        raise ConfigError(f"dimension {model.dim}: p = {q.max()} passes int64; the largest safe prime cutoff is {safe}")
+    smap = _s_map(model, s)
     lnq = np.log(q)
     qdim = q.astype(float) ** model.dim
     total = np.zeros(np.broadcast(q, *smap.values()).shape, dtype=complex)
@@ -224,13 +229,7 @@ def brute_density_oracle(model, p: int, s, m: int = 3, restrict: bool = True) ->
         certified geometric via the diagonal self-similarity."""
 
         def block(assign: dict) -> tuple | None:
-            cells = []
-            for i in range(n):
-                if i in assign:
-                    cells.append(("shell", assign[i]))
-                else:
-                    cells.append(fixed[i])
-            return prober.exponents(tuple(cells))
+            return prober.exponents(tuple(("shell", assign[i]) if i in assign else fixed[i] for i in range(n)))
 
         base = {i: start for i in tail_coords}
         e0 = block(base)
@@ -379,35 +378,33 @@ def char_bound_quantity(model, p: int, a, s) -> float:
 # archimedean densities
 
 
-def _box(M: float, b: float) -> float:
-    """int_0^M cos(b x) dx."""
-    return math.sin(b * M) / b if b != 0.0 else M
-
-
 # QUADPACK's Fourier weight on [1, inf) returns wrong values with no error
 # flag below a frequency of about 2e-3: the cosine tail of x^{-18} at
 # b = 1.8e-3 comes out near 0 instead of 1/17, with an error estimate of 7e-15
 _QAWF_MIN_FREQ = 1.0
-# the joint transform's divided difference of sine tails loses about
+# a block transform's divided difference of sine tails loses about
 # log10(b2 / b1) digits: 1e-11 of the value at b1 = 1e-4 b2, 2e-10 at 1e-5 b2
 _JOINT_MIN_RATIO = 1e-4
 
 
 def _power_tail(w: complex, b: float, kind: str) -> complex:
     """int_1^inf x^{-w} cos(b x) dx (kind "cos") or x^{-w} sin(b x) dx
-    (kind "sin") for b > 0, by QAWF.  Below the frequency _QAWF_MIN_FREQ
-    the range is split at X = _QAWF_MIN_FREQ / b: on [1, X] the phase b x
-    stays below _QAWF_MIN_FREQ and the integral is taken in u = log x
-    without a weight, and [X, inf) is X^{1-w} int_1^inf t^{-w}
-    trig(_QAWF_MIN_FREQ t) dt.  QAWF works to an absolute tolerance alone:
-    1e-13 on the unscaled t^{-w}, one digit tighter than the quad_complex
-    default.  It must not be tightened further, or QAWF runs out of cycles
-    (at 1e-17 the cosine tail of t^{-1.1-2i} comes out 3e-3 off).  The head
-    gets the absolute tolerance 1e-13 b, because the sine tail is O(b) and
-    the joint transform divides it by a frequency.  The integral diverges
-    for Re w <= 0, and NonconvergentError is raised there."""
-    if w.real <= 0.0:
-        raise NonconvergentError(f"the power tail of x^-({w}) diverges: Re w <= 0")
+    (kind "sin") for b > 0, by QAWF; at b = 0 the cosine tail 1/(w - 1).
+    Below the frequency _QAWF_MIN_FREQ the range is split at X =
+    _QAWF_MIN_FREQ / b: on [1, X] the phase b x stays below _QAWF_MIN_FREQ
+    and the integral is taken in u = log x without a weight, and [X, inf)
+    is X^{1-w} int_1^inf t^{-w} trig(_QAWF_MIN_FREQ t) dt.  QAWF works to
+    an absolute tolerance alone: 1e-13 on the unscaled t^{-w}, one digit
+    tighter than the quad_complex default.  It must not be tightened
+    further, or QAWF runs out of cycles (at 1e-17 the cosine tail of
+    t^{-1.1-2i} comes out 3e-3 off).  The head gets the absolute tolerance
+    1e-13 b, because the sine tail is O(b) and the block transform divides
+    it by a frequency.  The integral diverges for Re w <= 0 (Re w <= 1 at
+    b = 0), and NonconvergentError is raised there."""
+    if w.real <= (1.0 if b == 0.0 else 0.0):
+        raise NonconvergentError(f"the power tail of x^-({w}) at frequency {b} diverges")
+    if b == 0.0:
+        return 1.0 / (w - 1.0)
     X = max(1.0, _QAWF_MIN_FREQ / b)
     tail = quad_complex(lambda t: t ** (-w), 1.0, math.inf, weight=kind, wvar=b * X, epsrel=1e-11, epsabs=1e-13)[0]
     if X == 1.0:
@@ -419,69 +416,61 @@ def _power_tail(w: complex, b: float, kind: str) -> complex:
     return head + X ** (1.0 - w) * tail
 
 
-def _arch_transform_max1d(a: Sequence[float], w: complex) -> complex:
-    """int max(1,|x|)^{-w} psi(a1 x) dx on R, a = (a1,).  The integrand is
-    even, so this is 2 int_0^inf max(1,x)^{-w} cos(2 pi a1 x) dx, split at
-    x = 1."""
-    if a[0] == 0.0:
-        return 2.0 + 2.0 / (w - 1.0)
-    b = TWO_PI * abs(a[0])
-    return 2.0 * _box(1.0, b) + 2.0 * _power_tail(w, b, "cos")
-
-
-def _arch_joint_max(a: Sequence[float], w: complex) -> complex:
-    """int max(1,|x|,|y|)^{-w} psi(a1 x + a2 y) dx dy on R^2, as the cosine
-    transform 4 int_0^inf int_0^inf max(1,x,y)^{-w} cos(b1 x) cos(b2 y)
-    dx dy, with b1 <= b2 the two frequencies 2 pi |a_i| (the integrand is
-    symmetric in x and y).
-
-    The order of integration is exchanged so that the inner integral is
-    the closed-form one: where y >= max(1, x) the height is y^{-w}, and the
-    x-integral over [0, y] is sin(b1 y)/b1; likewise with x and y swapped.
-    With the unit square this gives
-      sin(b1) sin(b2)/(b1 b2) + int_1^inf y^{-w} sin(b1 y)/b1 cos(b2 y) dy
-                              + int_1^inf x^{-w} sin(b2 x)/b2 cos(b1 x) dx,
-    and by the product-to-sum identities, with S(b) the sine transform of
-    x^{-w} on [1, inf),
-      sin(b1) sin(b2)/(b1 b2) + (S(b2+b1) - S(b2-b1))/(2 b1)
-                              + (S(b2+b1) + S(b2-b1))/(2 b2).
-    At b1 = 0 the first integral is the cosine transform of y^{1-w}.
-    Ordering b1 <= b2 keeps both frequencies b2 -+ b1 nonnegative, and
-    names the frequency whose divided difference cancels: for
-    0 < b1 < _JOINT_MIN_RATIO b2 it would leave fewer than ten good digits,
-    and the transform raises NumericError instead."""
-    b1, b2 = sorted(TWO_PI * abs(t) for t in a)
-    if b2 == 0.0:
-        return 4.0 + 8.0 / (w - 2.0)
-    if 0.0 < b1 < _JOINT_MIN_RATIO * b2:
-        raise NumericError(f"character {tuple(a)} is too close to an axis for the joint transform")
-    sines = {b: _power_tail(w, b, "sin") for b in {b2 + b1, b2 - b1} if b > 0.0}
-    s_sum, s_diff = sines[b2 + b1], sines.get(b2 - b1, 0.0)
-    first = _power_tail(w - 1.0, b2, "cos") if b1 == 0.0 else (s_sum - s_diff) / (2.0 * b1)
-    return 4.0 * (_box(1.0, b1) * _box(1.0, b2) + first + (s_sum + s_diff) / (2.0 * b2))
-
-
-# block size -> the transform of max(1, |x_i|)^{-w} on that block
-_BLOCK_TRANSFORMS = {1: _arch_transform_max1d, 2: _arch_joint_max}
+def _arch_block_transform(a: Sequence[float], w) -> complex:
+    """int over R^k of max(1, |x|)^{-w} psi(<a, x>) dx, k = len(a), with
+    b_1 <= ... <= b_k the frequencies 2 pi |a_i|.  Where coordinate j
+    attains max(1, |x|) = y, each other one integrates to 2 sin(b_i y)/b_i
+    (to 2y at b_i = 0, a power lower), so the transform is 2^k times
+      prod_i sin(b_i)/b_i + sum_j int_1^inf y^{-w} cos(b_j y) prod_{i != j} sin(b_i y)/b_i dy.
+    Over the m nonzero others c, cos(B) prod sin(c_i) is (-1)^(m//2) 2^-m
+    sum_e (prod e) trig(B + e.c) over the sign vectors e, with the sine for
+    odd m and the cosine for even m: 2^m power tails, and a sine at
+    frequency 0 gives 0.  Each division by a c loses digits; where the n
+    nonzero frequencies below b_k have a product under _JOINT_MIN_RATIO
+    b_k^n, fewer than ten would be left, and NumericError is raised.  The
+    terms are added in a fixed order (the cube ascending, j descending, the
+    + sign vector first); a sign is a subtraction, never a product with -1."""
+    k = len(a)
+    if not any(a):
+        return 2.0**k + 2.0**k * k / (w - k)
+    b = sorted(TWO_PI * abs(t) for t in a)
+    below = [c for c in b[:-1] if c > 0.0]
+    if math.prod(below) < _JOINT_MIN_RATIO * b[-1] ** len(below):
+        raise NumericError(f"character {tuple(a)} is too close to an axis for the block transform")
+    tail = functools.lru_cache(maxsize=None)(_power_tail)  # each tail once per call
+    total = math.prod(math.sin(c) / c if c else 1.0 for c in b)
+    for j in reversed(range(k)):
+        others = b[:j] + b[j + 1 :]
+        c = [x for x in others if x > 0.0]
+        wj, kind, term = w - (len(others) - len(c)), "sin" if len(c) % 2 else "cos", None
+        for signs in itertools.product((False, True), repeat=len(c)):
+            f, neg = b[j], sum(signs) % 2 == 1
+            for minus, x in zip(signs, c):
+                f = f - x if minus else f + x
+            if f < 0.0:
+                f, neg = -f, neg != (kind == "sin")
+            if f > 0.0 or kind == "cos":
+                val = tail(wj, f, kind)
+                term = (-val if neg else val) if term is None else (term - val if neg else term + val)
+        if c:
+            term = term / (2.0 ** len(c) * math.prod(c))
+        total += -term if len(c) // 2 % 2 else term
+    return 2.0**k * total
 
 
 def arch_density(model, a, s0) -> complex:
     """H^_inf(a; s0*lambda): the archimedean height transform, the product
     over labels alpha of the transform of max(1, |x_i| : i in the block of
-    alpha)^{-lambda_alpha s0} at the block of a.  Each is closed-form at a
-    zero block.  Only blocks P^1 and P^2 have a transform; a larger block
-    raises ConfigError."""
+    alpha)^{-lambda_alpha s0} at the block of a, ``_arch_block_transform``
+    for a block of any size.  Each is closed-form at a zero block."""
     s0 = complex(s0)
     if not isinstance(a, (tuple, list)):
         a = (0.0,) * model.dim if a is None or a == 0 else (a,)
     avec = [float(t) for t in a]
     if len(avec) != model.dim:
         raise ValueError(f"{model.id} expects a character of dimension {model.dim}")
-    for idx in model.norm_coords.values():
-        if len(idx) not in _BLOCK_TRANSFORMS:
-            raise ConfigError(f"{model.id}: no real-place transform for a block of size {len(idx)}; sizes 1 and 2 have one")
     return math.prod(
-        _BLOCK_TRANSFORMS[len(idx)]([avec[i] for i in idx], model.divisors.lam(alpha) * s0)
+        _arch_block_transform([avec[i] for i in idx], model.divisors.lam(alpha) * s0)
         for alpha, idx in model.norm_coords.items()
     )
 
@@ -494,11 +483,7 @@ def zeta_S(w: float, S: Sequence[Place]) -> float:
     """Riemann zeta with the Euler factors at the finite places of S removed."""
     if w <= 1.0:
         raise PoleError("zeta_S requires w > 1")
-    val = float(_riemann_zeta(w))
-    for v in S:
-        if v.is_finite:
-            val *= 1.0 - v.prime ** (-w)
-    return val
+    return math.prod([float(_riemann_zeta(w))] + [1.0 - v.prime ** (-w) for v in S if v.is_finite])
 
 
 def _euler_pass(model, smap: dict, S: Sequence[Place], cutoff: int) -> tuple[np.ndarray, complex, complex]:
@@ -537,10 +522,11 @@ def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: 
 
 
 # (s-1)^m H_inf(s) prod_{p in S} H_p(s) is analytic in the disc of radius
-# 1/3 about s = 1: the nearest other singularity of any catalog factor is the
-# pole of the kept P^2 block, 12 s/(3 s - 2), at s = 2/3.  The trapezoid mean
-# over the circle |s - 1| = _CONTOUR_RADIUS is then its value at s = 1 to
-# about (0.03 / (1/3))^16 = 0.09^16, or 2e-17 relative.
+# 1/(k+1) about s = 1, k the largest kept block P^k: its nearest other
+# singularity is that block's pole at s = k/(k+1) (2^k k/((k+1) s - k) at
+# the real place).  The trapezoid mean over the circle |s - 1| =
+# _CONTOUR_RADIUS is then its value at s = 1 to about (0.03 (k+1))^16
+# relative: 2e-17 for the catalog's P^2, 2e-15 for P^3 and 1e-12 for P^5.
 _CONTOUR_RADIUS = 0.03
 _CONTOUR_NODES = 16
 
@@ -587,13 +573,12 @@ def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> 
 
 def _projective_volume(place: Place, m: int) -> float:
     """vol(P^m) = int_{F^m} max(1,|w|)^{-(m+1)} dw over the completion:
-    the unit box plus the shells |w| = r > 1, of volume m 2^m r^{m-1} dr
-    on R and p^{jm} - p^{(j-1)m} at r = p^j."""
+    the block transform at a = 0 on R, and on Q_p the unit box plus the
+    shells |w| = p^j, of volume p^{jm} - p^{(j-1)m}."""
     e = float(m + 1)
     if place.kind == "real":
-        return 2.0**m + 2.0**m * m / (e - m)
-    p = place.prime
-    return (1.0 - p ** (-e)) / (1.0 - p ** (m - e))
+        return _arch_block_transform((0.0,) * m, e)
+    return (1.0 - place.prime ** (-e)) / (1.0 - place.prime ** (m - e))
 
 
 def tau_max_boundary(model, place: Place) -> float:

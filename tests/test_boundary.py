@@ -76,6 +76,12 @@ def test_exponent_b_examples():
     assert exponent_b(get_model("E2"), [R]) == 1
     with pytest.raises(ValueError):
         exponent_b(get_model("E1"), [Place.finite(5)])
+    # S is a set: a repeated place would count its simplex twice
+    for S in ([R, Place.finite(5), Place.finite(5)], [R, R]):
+        with pytest.raises(ValueError, match="repeats"):
+            exponent_b(get_model("E1"), S)
+        with pytest.raises(ValueError, match="repeats"):
+            pole_orders(get_model("E1"), S, 0)
 
 
 def test_exponent_b_additivity():

@@ -119,6 +119,24 @@ def test_osc_command(tmp_path):
     assert (tmp_path / "osc_decay.csv").exists()
 
 
+def _strict_json(path):
+    """The artifact parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(_read(path), parse_constant=refuse)
+
+
+def test_non_finite_values_are_null(tmp_path):
+    # the right side of A = 3 has no tail estimate, and one |a| fits no
+    # exponent: the library reports inf, the artifact null
+    assert main(["poisson", "--model", "E1", "--s", "3", "--A", "3", "--out", str(tmp_path)]) == 0
+    assert _strict_json(tmp_path / "poisson_E1.json")["rhs_tail"] is None
+    assert main(["osc", "--place", "real", "--a-grid", "10", "--out", str(tmp_path)]) == 0
+    assert _strict_json(tmp_path / "osc_decay.json")["fitted_exponent"] is None
+
+
 def test_describe_and_density(tmp_path):
     assert main(["describe", "--model", "E4", "--out", str(tmp_path)]) == 0
     assert main(["density", "--model", "E4", "--place", "3", "--s", "1.5", "--out", str(tmp_path)]) == 0
@@ -150,6 +168,14 @@ def test_error_exit_codes(tmp_path):
     assert main(["count", "--model", "E1", "--S", "5", "--B", "10", "--out", str(tmp_path)]) == 2
     assert main(["count", "--model", "E5", "--S", "inf", "--B", "1e12", "--out", str(tmp_path)]) == 3
     assert main(["poisson", "--model", "E1", "--s", "0.5", "--A", "5", "--out", str(tmp_path)]) == 2
+    # S is a set of places, and "inf" and "real" name the same one
+    for argv in (
+        ["count", "--model", "E1", "--S", "inf,5,5", "--B", "1000"],
+        ["theta", "--model", "E1", "--S", "inf,5,5"],
+        ["theta", "--model", "E1", "--S", "inf,inf"],
+        ["theta", "--model", "E1", "--S", "inf,real"],
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == 2, argv
     # a non-finite B is a config error, not a traceback or a numeric failure,
     # and so are a B of 2**1024 or more written as p/q, a zero denominator
     # and an exponent that would expand to a huge integer

@@ -101,6 +101,17 @@ def test_denef_density_broadcasts_over_s():
             assert type(denef_density(m, 5, complex(nodes[3]), restrict=restrict)) is complex
 
 
+def test_denef_density_int64_limit():
+    # the stratum counts of a 3-dimensional model reach p^3 in int64, and
+    # 2097151^3 < 2^63 <= 2097152^3: the largest prime below is still exact
+    m = CompactificationModel("T3", {"Dx": (0,), "Dy": (1,), "Dz": (2,)}, removed={"Dz"})
+    assert abs(denef_density(m, 2097143, 1.0) - 1.0) < 1e-5
+    with pytest.raises(ConfigError, match="dimension 3.*2097151"):
+        denef_density(m, np.array([2, 2999999]), 1.0)
+    with pytest.raises(ConfigError, match="dimension 3.*2097151"):
+        theta_constant(m, [R], prime_cutoff=3_000_000)
+
+
 def test_denef_pole_in_s_array():
     # E2 has w = s_alpha - rho_alpha + 1 = 0 at s0 = 1/2: the pole is named at the first prime
     with pytest.raises(PoleError, match="p=3, s_"):
@@ -246,13 +257,98 @@ def _quad_joint_max(w: float) -> float:
     return val
 
 
-def test_arch_block_without_transform():
-    # blocks P^k with k >= 3 have no real-place transform yet
-    P3 = CompactificationModel("P3", {"H": (0, 1, 2)}, removed={"H"})
-    with pytest.raises(ConfigError, match="size 3"):
-        arch_density(P3, 0, 2.0)
-    with pytest.raises(ConfigError, match="size 3"):
-        theta_constant(P3, [R])
+def _max1d_parent(a, w):
+    """The P^1 transform as it was written before the block formula."""
+    if a[0] == 0.0:
+        return 2.0 + 2.0 / (w - 1.0)
+    b = density.TWO_PI * abs(a[0])
+    return 2.0 * (math.sin(b * 1.0) / b) + 2.0 * density._power_tail(w, b, "cos")
+
+
+def _joint_max_parent(a, w):
+    """The P^2 transform as it was written before the block formula."""
+    b1, b2 = sorted(density.TWO_PI * abs(t) for t in a)
+    if b2 == 0.0:
+        return 4.0 + 8.0 / (w - 2.0)
+    if 0.0 < b1 < density._JOINT_MIN_RATIO * b2:
+        raise NumericError(f"character {tuple(a)} is too close to an axis")
+    sines = {b: density._power_tail(w, b, "sin") for b in {b2 + b1, b2 - b1} if b > 0.0}
+    s_sum, s_diff = sines[b2 + b1], sines.get(b2 - b1, 0.0)
+    first = density._power_tail(w - 1.0, b2, "cos") if b1 == 0.0 else (s_sum - s_diff) / (2.0 * b1)
+    box = [math.sin(t * 1.0) / t if t != 0.0 else 1.0 for t in (b1, b2)]
+    return 4.0 * (box[0] * box[1] + first + (s_sum + s_diff) / (2.0 * b2))
+
+
+def _outcome(transform, a, w) -> str:
+    try:
+        return repr(transform(a, w))
+    except NumericError:
+        return "NumericError"
+
+
+def test_block_transform_equals_parent_forms():
+    # on blocks P^1 and P^2 the one formula adds the terms of the two
+    # transforms it replaced in their order, so the values agree by repr,
+    # and so do the characters the near-axis guard refuses
+    grid = (0.0, 1e-3, 0.05, 0.37, 1.0, 2.0, 5.0)
+    near_axis = ((1e-4, 1.0), (1e-4, 2.0), (5e-4, 5.0), (2e-4, 2.0), (1e-5, 1.0))
+    for w in (3.2 + 0j, 4.0 + 0j, 6.0 + 0j, 2.5 + 0.7j, 3.0 - 1.0j):
+        for a in grid:
+            assert _outcome(density._arch_block_transform, (a,), w) == _outcome(_max1d_parent, (a,), w), (a, w)
+        for a in [*itertools.product(grid, repeat=2), *near_axis]:
+            assert _outcome(density._arch_block_transform, a, w) == _outcome(_joint_max_parent, a, w), (a, w)
+
+
+def _layer_cake_mp(a, w) -> complex:
+    """w int_1^inf t^{-w-1} prod_i 2 sin(b_i t)/b_i dt, with 2t for b_i = 0:
+    the block transform by the layer-cake formula, with no split by the
+    coordinate that attains the max.  The sines expand into exponentials,
+    one incomplete gamma function (expint) per sign pattern."""
+    with mpmath.workdps(30):
+        w = mpmath.mpmathify(w)
+        b = [2 * mpmath.pi * abs(mpmath.mpf(t)) for t in a]
+        nz = [x for x in b if x != 0]
+        s = w + 1 - (len(b) - len(nz))
+        total = 0
+        for eps in itertools.product((1, -1), repeat=len(nz)):
+            f = sum(e * x for e, x in zip(eps, nz))
+            total += math.prod(eps) * (1 / (s - 1) if f == 0 else mpmath.expint(s, -1j * f))
+        return complex(w * 2 ** len(b) / mpmath.fprod(nz) / (2j) ** len(nz) * total)
+
+
+def test_block_transform_P3_vs_layer_cake():
+    # zeros, equal frequencies, zero total frequencies (exactly at
+    # (0.5, 0.5, 1), up to rounding at (0.3, 0.7, 1)) and products of the
+    # smaller frequencies just above the near-axis guard
+    values = (0.0, 0.05, 0.3, 1.0)
+    grid = [a for a in itertools.combinations_with_replacement(values, 3) if any(a)]
+    grid += [(0.5, 0.5, 1.0), (0.3, 0.7, 1.0), (-0.3, 0.3, 1.7), (1.6e-4, 1.0, 1.0), (0.0101, 0.01, 1.0), (0.0, 1.01e-4, 1.0)]
+    for w in (4.5 + 0j, 4.2 + 1.3j):
+        for a in grid:
+            got, ref = density._arch_block_transform(a, w), _layer_cake_mp(a, w)
+            assert abs(got - ref) < 1e-10, (a, w, got, ref)
+    with pytest.raises(NumericError):
+        density._arch_block_transform((1.2e-4, 1.0, 2.0), 4.5 + 0j)
+    # the cosine tail at a zero total frequency is 1/(w - 1), for Re w > 1 only
+    with pytest.raises(NonconvergentError):
+        density._arch_block_transform((0.5, 0.5, 1.0), 1.0 + 0j)
+
+
+def test_theta_P3_both_sides():
+    # A^3 in P^3 (lambda = 3) counts (2T + 1)^3 points, T = floor(B^(1/3)),
+    # so Theta = 8 = vol [-1, 1]^3; P^3 with nothing removed has 8/zeta(4)
+    from scipy.special import zeta
+
+    from heightzeta.census import enumerate_points
+
+    a3 = CompactificationModel("P3", {"H": (0, 1, 2)}, removed={"H"})
+    theta = theta_constant(a3, [R]).theta
+    assert abs(theta - 8.0) < 1e-12
+    assert abs(theta_factored(a3, [R]) - theta) < 1e-12
+    B = 10**18
+    assert 0 < enumerate_points(a3, [R], B) / (8 * B) - 1 < 2e-6
+    p3 = CompactificationModel("P3", {"H": (0, 1, 2)})
+    assert abs(theta_constant(p3, [R]).theta - 8 / zeta(4)) < 1e-12
 
 
 def test_arch_quadrature_matches_closed_forms():
