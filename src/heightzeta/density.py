@@ -378,35 +378,48 @@ def char_bound_quantity(model, p: int, a, s) -> float:
 # archimedean densities
 
 
-# QUADPACK's Fourier weight on [1, inf) returns wrong values with no error
-# flag below a frequency of about 2e-3: the cosine tail of x^{-18} at
-# b = 1.8e-3 comes out near 0 instead of 1/17, with an error estimate of 7e-15
-_QAWF_MIN_FREQ = 1.0
+# the frequency below which a power tail is split (see _power_tail)
+_SPLIT_FREQ = 1.0
 # a block transform's divided difference of sine tails loses about
 # log10(b2 / b1) digits: 1e-11 of the value at b1 = 1e-4 b2, 2e-10 at 1e-5 b2
 _JOINT_MIN_RATIO = 1e-4
 
 
+@functools.cache
+def _descent_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights times e^{-y} for int_0^inf g(y) e^{-y} dy: 20-point
+    Gauss-Legendre on the panels 0, 1/4, 1/2, 1, 2, ..., 32, 48, 64 (e^-64 = 2e-28)."""
+    edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0])
+    x, wq = np.polynomial.legendre.leggauss(20)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    y = ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel()
+    return y, ((hi - lo) / 2 * wq).ravel() * np.exp(-y)
+
+
 def _power_tail(w: complex, b: float, kind: str) -> complex:
     """int_1^inf x^{-w} cos(b x) dx (kind "cos") or x^{-w} sin(b x) dx
-    (kind "sin") for b > 0, by QAWF; at b = 0 the cosine tail 1/(w - 1).
-    Below the frequency _QAWF_MIN_FREQ the range is split at X =
-    _QAWF_MIN_FREQ / b: on [1, X] the phase b x stays below _QAWF_MIN_FREQ
-    and the integral is taken in u = log x without a weight, and [X, inf)
-    is X^{1-w} int_1^inf t^{-w} trig(_QAWF_MIN_FREQ t) dt.  QAWF works to
-    an absolute tolerance alone: 1e-13 on the unscaled t^{-w}, one digit
-    tighter than the quad_complex default.  It must not be tightened
-    further, or QAWF runs out of cycles (at 1e-17 the cosine tail of
-    t^{-1.1-2i} comes out 3e-3 off).  The head gets the absolute tolerance
-    1e-13 b, because the sine tail is O(b) and the block transform divides
-    it by a frequency.  The integral diverges for Re w <= 0 (Re w <= 1 at
-    b = 0), and NonconvergentError is raised there."""
+    (kind "sin") for b > 0; at b = 0 the cosine tail 1/(w - 1).  At a
+    frequency f >= 1 the contour turns to x = 1 +- iy/f (steepest descent:
+    Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44, 2006),
+      int_1^inf x^{-w} e^{+-ifx} dx = (+-i e^{+-if}/f) int_0^inf (1 +- iy/f)^{-w} e^{-y} dy,
+    one numpy dot with ``_descent_rule``; cos and sin are the half sum and
+    difference of the two sides (for real w, the - side is the conjugate).
+    Below _SPLIT_FREQ the range is split at X = _SPLIT_FREQ / b, since a
+    rotated sine tail at b < 1 loses log10(1/b) digits (3.9e-8 at b = 1e-7,
+    w = 18): [X, inf) is X^{1-w} times the tail at b X, and [1, X] is taken
+    in log x by QUADPACK to 1e-13 b absolute (the sine tail is O(b), and the
+    block transform divides it by a frequency).  NonconvergentError where
+    the integral diverges: Re w <= 0 (Re w <= 1 at b = 0)."""
     if w.real <= (1.0 if b == 0.0 else 0.0):
         raise NonconvergentError(f"the power tail of x^-({w}) at frequency {b} diverges")
     if b == 0.0:
         return 1.0 / (w - 1.0)
-    X = max(1.0, _QAWF_MIN_FREQ / b)
-    tail = quad_complex(lambda t: t ** (-w), 1.0, math.inf, weight=kind, wvar=b * X, epsrel=1e-11, epsabs=1e-13)[0]
+    X = max(1.0, _SPLIT_FREQ / b)
+    f, (y, weights) = b * X, _descent_rule()
+    side = lambda sg: sg * 1j * cmath.exp(sg * 1j * f) / f * complex(weights @ (1.0 + sg * 1j / f * y) ** -w)
+    plus = side(1.0)
+    minus = side(-1.0) if w.imag else plus.conjugate()
+    tail = (plus + minus) / 2 if kind == "cos" else (plus - minus) / 2j
     if X == 1.0:
         return tail
     trig = math.cos if kind == "cos" else math.sin
@@ -524,9 +537,9 @@ def euler_product(model, s0, S: Sequence[Place], cutoff: int = 10_000, threads: 
 # (s-1)^m H_inf(s) prod_{p in S} H_p(s) is analytic in the disc of radius
 # 1/(k+1) about s = 1, k the largest kept block P^k: its nearest other
 # singularity is that block's pole at s = k/(k+1) (2^k k/((k+1) s - k) at
-# the real place).  The trapezoid mean over the circle |s - 1| =
-# _CONTOUR_RADIUS is then its value at s = 1 to about (0.03 (k+1))^16
-# relative: 2e-17 for the catalog's P^2, 2e-15 for P^3 and 1e-12 for P^5.
+# the real place).  The trapezoid mean over |s - 1| = min(_CONTOUR_RADIUS,
+# 0.1/(k+1)) is then its value at s = 1 to about 0.09^16 = 2e-17 relative
+# for the catalog's P^2 and about 0.1^16 for a larger block.
 _CONTOUR_RADIUS = 0.03
 _CONTOUR_NODES = 16
 
@@ -549,7 +562,8 @@ def theta_constant(model, S: Sequence[Place], *, prime_cutoff: int = 10_000) -> 
         raise ConfigError(f"prime cutoff {prime_cutoff} is below {first}, the smallest prime off S")
     b = exponent_b(model, S)
     m = b - ep_rank(model)
-    zs = [_CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / _CONTOUR_NODES) for k in range(_CONTOUR_NODES)]
+    r = min(_CONTOUR_RADIUS, 0.1 / (1 + max((len(model.norm_coords[a]) for a in model.divisors.kept), default=0)))
+    zs = [r * cmath.exp(2j * math.pi * k / _CONTOUR_NODES) for k in range(_CONTOUR_NODES)]
     primes = [v.prime for v in S if v.is_finite]
     local = denef_density(model, np.array(primes)[:, None], np.array(zs) + 1.0, restrict=False) if primes else ()
     mean = 0j

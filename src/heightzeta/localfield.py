@@ -27,6 +27,7 @@ this one.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -496,12 +497,21 @@ def quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, 
 
 def quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
     """Integral of f(t) e^{-i omega t} over [a, b] (b may be inf) with the
-    oscillation handled by QAWO/QAWF; returns (value, err)."""
+    oscillation handled by QAWO/QAWF; returns (value, err).  The cos and sin
+    passes read one ``functools.cache`` of f, C code, so a repeated node runs
+    no Python.  A float value at a node of QUADPACK's first rule (the middle
+    of [a, b], or a) takes one pass per weight, a complex value the two of
+    ``quad_complex``; either way the bits are those of four such passes."""
     kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
     if omega == 0.0:
         return quad_complex(f, a, b, **kw)
-    c, e1 = quad_complex(f, a, b, weight="cos", wvar=omega, **kw)
-    s, e2 = quad_complex(f, a, b, weight="sin", wvar=omega, **kw)
+    table = functools.cache(f)
+    if isinstance(table(a if math.isinf(b) else 0.5 * (a + b)), complex):
+        run = lambda weight: quad_complex(table, a, b, weight=weight, wvar=omega, **kw)
+    else:  # quad_complex's options for one part
+        opts = dict(epsabs=epsabs, epsrel=epsrel, full_output=1) | ({} if math.isinf(b) else {"limit": limit})
+        run = lambda weight: quad(table, a, b, weight=weight, wvar=omega, **opts)[:2]
+    (c, e1), (s, e2) = run("cos"), run("sin")
     return complex(c.real + s.imag, c.imag - s.real), e1 + e2
 
 

@@ -252,7 +252,8 @@ def _osc_halfline(g, r0: float, R: float, A: float, d: int, s: complex, epsrel: 
     if mid > r0:
         total, err = _power_weighted(lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r), mid, s, r0, epsrel=epsrel)
     if mid < R:
-        f = lambda t: (1.0 / d) * (t ** (s / d - 1.0)) * g(t ** (1.0 / d))
+        power = s.real / d - 1.0 if s.imag == 0.0 else s / d - 1.0
+        f = lambda t: (1.0 / d) * t**power * g(t ** (1.0 / d))
         val, e2 = quad_oscillatory(f, mid**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)
         total += val
         err += e2
@@ -263,7 +264,7 @@ def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> Osc
     a = float(a)
     total, err = 0j, 0.0
     for sign, r0, R in _halflines(phi.support):
-        v, e = _osc_halfline(lambda r: complex(phi(sign * r)), r0, R, a * sign**d, d, s, epsrel)
+        v, e = _osc_halfline(lambda r: phi(sign * r), r0, R, a * sign**d, d, s, epsrel)
         total, err = total + v, err + e
     return OscillatoryResult(total, exact=False, error=err)
 
@@ -516,6 +517,7 @@ def _inverse_real(phi: BumpFunction, a, d: int, s: complex) -> OscillatoryResult
     the feature at y*.  On [r0, y*], t = y^-d makes the phase linear for
     QAWO (QAWF when r0 = 0), which works to an absolute tolerance only."""
     a = float(a)
+    power = -s.real / d - 1.0 if s.imag == 0.0 else -s / d - 1.0
     total, err = 0j, 0.0
     for sign, r0, R in _halflines(phi.support):
         A = a * sign**d
@@ -525,7 +527,7 @@ def _inverse_real(phi: BumpFunction, a, d: int, s: complex) -> OscillatoryResult
             val, e = quad_complex(f, math.log(ystar), math.log(R), epsabs=1e-14)
             total, err = total + val, err + e
         if ystar > r0:
-            g = lambda t: (1.0 / d) * t ** (-s / d - 1.0) * phi(sign * t ** (-1.0 / d))
+            g = lambda t: (1.0 / d) * t**power * phi(sign * t ** (-1.0 / d))
             top = math.inf if r0 == 0.0 else r0**-d
             val, e = quad_oscillatory(g, ystar**-d, top, 2.0 * math.pi * A, epsabs=1e-14)
             total, err = total + val, err + e

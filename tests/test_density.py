@@ -149,6 +149,19 @@ def test_theta_contour_matches_scalar_loop(primes):
             assert abs(got - want) <= 1e-15 * abs(want), (mid, primes, cutoff, got, want)
 
 
+@pytest.mark.parametrize("k", [4, 5, 6, 8])
+def test_theta_large_blocks(k):
+    # P^k with nothing removed has Theta = 2^k/zeta(k+1).  The contour circle
+    # shrinks with k to keep the pole at s = k/(k+1) out; at the fixed radius
+    # 0.03 the ratio was 1e-12 off at k = 5 and 7e-10 at k = 8.  The prime
+    # cutoff stays below the int64 limit of the stratum counts
+    from scipy.special import zeta
+
+    cutoff = min(10_000, math.ceil(2.0 ** (63 / k)) - 1)
+    theta = theta_constant(CompactificationModel(f"P{k}", {"H": tuple(range(k))}), [R], prime_cutoff=cutoff).theta
+    assert abs(theta / (2**k / zeta(k + 1)) - 1.0) < 1e-13
+
+
 T3 = {"Dx": (0,), "Dy": (1,), "Dz": (2,)}
 
 
@@ -378,13 +391,9 @@ def test_arch_oscillatory_vs_reference():
 
 
 def test_arch_joint_character():
-    m3 = get_model("E3")
-    got = arch_density(m3, (1, 0), 1.6)
-    xs = np.linspace(-40, 40, 8001)
-    X, Y = np.meshgrid(xs, xs)
-    W = np.maximum(1, np.maximum(np.abs(X), np.abs(Y))) ** (-3.2) * np.exp(-2j * np.pi * X)
-    brute = np.trapezoid(np.trapezoid(W, xs, axis=1), xs)
-    assert abs(got - brute) < 5e-4
+    # E3 (lambda = 2) against the layer-cake form, which never splits R^2
+    got = arch_density(get_model("E3"), (1, 0), 1.6)
+    assert abs(got - _layer_cake_mp((1, 0), 3.2)) < 1e-10
 
 
 def test_arch_joint_character_axis():
@@ -405,6 +414,28 @@ def _power_tail_mp(w, b, kind: str):
         return 1 / (w - 1) if kind == "cos" else mpmath.mpf(0)
     e_plus, e_minus = mpmath.expint(w, -1j * b), mpmath.expint(w, 1j * b)
     return (e_plus + e_minus) / 2 if kind == "cos" else (e_plus - e_minus) / 2j
+
+
+def test_power_tail_vs_expint(monkeypatch):
+    # at frequencies b >= 1 the tail is one numpy dot on the rotated contour,
+    # with no QUADPACK call.  It is held to 1e-13 of the value plus 1e-14 of
+    # the mass int |x^-w e^{ibx}| |dx| over that contour, below which no
+    # float64 sum of its terms can go: at 6+8i and b = 1 the mass is 620
+    # times the value.  QAWF, which took these tails before, is 4.3e-9 off at
+    # w = 0.05, b = 628.3
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(density, "quad_complex", no_quadpack)
+    y, weights = density._descent_rule()
+    for w in (0.05, 0.3, 1.0, 1.5, 3.2, 6.0, 12.0, 18.0, 24.0, 2.5 + 0.7j, 9 + 3j, 6 + 8j):
+        for b in (*np.geomspace(1.0, 2e4, 12), 3.0, 628.3):
+            mass = max(float(weights @ np.abs((1 + sg * 1j * y / b) ** -complex(w))) for sg in (1, -1)) / b
+            for kind in ("cos", "sin"):
+                got = density._power_tail(complex(w), float(b), kind)
+                with mpmath.workdps(30):
+                    ref = complex(_power_tail_mp(mpmath.mpmathify(w), mpmath.mpf(b), kind))
+                assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-14 * mass, (w, b, kind, got, ref)
 
 
 def _joint_max_mp(a1: float, a2: float, w) -> complex:

@@ -309,6 +309,37 @@ def test_osc1d_real_support_away_from_zero(a, d, s):
     assert got.error >= dev
 
 
+def _four_pass_quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
+    """quad_oscillatory without its node table, on a complex-valued
+    integrand as its callers once passed for every s: the real and
+    imaginary part of f under each Fourier weight, four QUADPACK passes
+    that each evaluate f afresh."""
+    g = lambda t: complex(f(t))
+    kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
+    if omega == 0.0:
+        return quad_complex(g, a, b, **kw)
+    c, e1 = quad_complex(g, a, b, weight="cos", wvar=omega, **kw)
+    s, e2 = quad_complex(g, a, b, weight="sin", wvar=omega, **kw)
+    return complex(c.real + s.imag, c.imag - s.real), e1 + e2
+
+
+def test_node_table_keeps_the_four_pass_bits(monkeypatch):
+    # the node table and the float-valued integrands of real s change no bit
+    # of a real-place value or error estimate.  Bumps through 0 take QAWF in
+    # the inverse phase, the bump on (0.5, 2.5) QAWO; |a| = 1000 needs the
+    # most QUADPACK subdivisions
+    grid = []
+    for c, rad in ((0.0, 1.0), (0.3, 1.5), (1.5, 1.0)):
+        for d, s, a in itertools.product((1, 2, 3), (0.3, 1.15, 0.75 + 0.5j, 1.2 - 0.3j), (0.0, 0.5, 3.0, 30.0, 1000.0)):
+            grid.append((osc_integral_1d, BumpFunction.standard(c, rad), a, d, s))
+            if a:
+                grid.append((inverse_phase_integral, BumpFunction.standard(c, rad), a, d, s))
+    values = lambda: [(repr(r.value), repr(r.error)) for r in (fn(R, *args) for fn, *args in grid)]
+    got = values()
+    monkeypatch.setattr(oscillatory, "quad_oscillatory", _four_pass_quad_oscillatory)
+    assert got == values()
+
+
 def _axis_rule(sj, a: float, nodes: int, c: float = 0.0, rad: float = 1.0, d: int = 1, **rule):
     """The rule of ``_halfline_rule`` at frequency a on each half-line of
     the bump (c - rad, c + rad), the positive nodes first, with the weights
