@@ -60,7 +60,6 @@ from .oscillatory import (
     osc_integral_1d,
     osc_integral_nd,
     schwartz_level,
-    vanishing_threshold,
 )
 
 __version__ = "0.1.0"

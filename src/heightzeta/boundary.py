@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+from .errors import NumericError
 from .localfield import Place
 
 
@@ -142,7 +143,7 @@ def pole_orders(model, S: Sequence[Place], a) -> tuple[int, int]:
     d = divisor_coefficients(model, a)
     ba = sum(w for alpha, w in weight.items() if d[alpha] == 0)
     if ba >= b0:
-        raise AssertionError(f"pole-order domination failed: b_a={ba} >= b_0={b0}")
+        raise NumericError(f"pole-order domination failed: b_a={ba} >= b_0={b0}")
     return b0, ba
 
 

@@ -134,7 +134,7 @@ class CompactificationModel:
         """#D_A^0(F_q) for the locally closed stratum indexed by A: per
         factor P^k, the (q^k - 1)/(q - 1) points at infinity for a label in
         A and the q^k affine points otherwise; 0 unless A is a set of
-        labels.  ``q`` may be an integer array."""
+        labels.  ``q`` may be an integer or a float array."""
         if not set(A) <= set(self.norm_coords):
             return 0
         return math.prod(
@@ -201,20 +201,14 @@ def get_model(model_id: str) -> CompactificationModel:
 
 
 def places_from_spec(spec: Sequence) -> list[Place]:
-    """Normalize a list like ["inf", 5] or [Place, ...] into a set of
-    places, in order: the real place must be present, no place may repeat
-    ("inf" and "real" are one), and finite entries are from {2, 3, 5, 7}."""
-    out = []
-    for item in spec:
-        if isinstance(item, Place):
-            out.append(item)
-        elif str(item) in ("inf", "oo", "real"):
-            out.append(Place.real())
-        else:
-            p = int(item)
-            if p not in (2, 3, 5, 7):
-                raise ConfigError("finite places in S are drawn from {2, 3, 5, 7}")
-            out.append(Place.finite(p))
+    """The set of places S named by ``spec``, in order: each entry a Place
+    or a name that ``Place.parse`` reads, e.g. ["inf", 13] or
+    ("real", "2", "101").  S may hold any prime.  It must hold the real
+    place ("inf" and "real" are one), no place twice, and no complex place,
+    which Q does not have; each refusal is a ConfigError."""
+    out = [v if isinstance(v, Place) else Place.parse(v) for v in spec]
+    if any(v.kind == "complex" for v in out):
+        raise ConfigError("Q has no complex place: S holds the real place and primes")
     if not any(v.kind == "real" for v in out):
         raise ConfigError("S must contain the real place")
     if len(set(out)) != len(out):

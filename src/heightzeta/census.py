@@ -517,21 +517,16 @@ def _rhs_tail(vals: list[tuple[int, float]], A: int) -> float:
 class Region:
     label: str
     kind: str  # "halfline", "quadrant", "abs_le"
-    signs: tuple = ()
     predicted: float = 0.0
 
 
 def standard_regions(model_id: str) -> list[Region]:
     if model_id == "E1":
-        return [Region("x>0", "halfline", (1,), 0.5)]
+        return [Region("x>0", "halfline", 0.5)]
     if model_id == "E3":
-        return [
-            Region(f"x{sx}y{sy}", "quadrant", (sx, sy), 0.25)
-            for sx in (1, -1)
-            for sy in (1, -1)
-        ]
+        return [Region(f"x{sx}y{sy}", "quadrant", 0.25) for sx in (1, -1) for sy in (1, -1)]
     if model_id == "E5":
-        return [Region("|x|<=|y|", "abs_le", (), 0.5)]
+        return [Region("|x|<=|y|", "abs_le", 0.5)]
     raise ConfigError(f"no standard regions for {model_id}")
 
 

@@ -53,8 +53,6 @@ class ExperimentConfig:
     restrict: bool = True
 
     def validate(self):
-        if not self.S or "inf" not in tuple(str(x) for x in self.S):
-            raise ConfigError("S must contain the real place ('inf')")
         Bs = (*self.B_grid, *(() if self.B is None else (self.B,)))
         # 2**1024 ends the float range, where artifacts would overflow; the
         # comparison also refuses nan and stays exact for a Fraction
@@ -78,15 +76,13 @@ class ExperimentConfig:
             raise ConfigError(f"a-grid values are |a| and must be finite and > 0: {', '.join(map(str, self.a_grid))}")
 
 
-def _parse_place(text: str) -> Place:
-    if text in ("real", "inf", "oo"):
-        return Place.real()
-    if text in ("complex", "C"):
-        return Place.complex_()
-    try:
-        return Place.finite(int(text))
-    except ValueError:
-        raise ConfigError(f"unknown place {text!r}: use real, complex or a prime") from None
+def _place_over_q(text: str) -> Place:
+    """--place for the commands that read a model over Q, which has no
+    complex place (zeta-local and osc take it)."""
+    place = Place.parse(text)
+    if place.kind == "complex":
+        raise ConfigError("Q has no complex place: --place complex is for zeta-local and osc")
+    return place
 
 
 def _parse_phi(spec: str, place: Place):
@@ -168,7 +164,7 @@ def _write_csv(cfg: ExperimentConfig, name: str, header, rows) -> str:
 def _run_zeta_local(cfg: ExperimentConfig):
     from .localfield import residue_c, zeta_local
 
-    place = _parse_place(cfg.place)
+    place = Place.parse(cfg.place)
     val = zeta_local(place, cfg.s)
     payload = {
         "place": str(place),
@@ -182,7 +178,7 @@ def _run_zeta_local(cfg: ExperimentConfig):
 
 
 def _run_osc(cfg: ExperimentConfig):
-    place = _parse_place(cfg.place)
+    place = Place.parse(cfg.place)
     phi = _parse_phi(cfg.phi, place)
     grid = list(cfg.a_grid) or [10.0**k for k in range(1, 7)]
     rep = oscillatory.decay_report(place, phi, cfg.d, cfg.s, grid)
@@ -206,7 +202,7 @@ def _run_osc(cfg: ExperimentConfig):
 
 def _run_clemens(cfg: ExperimentConfig):
     model = get_model(cfg.model)
-    place = _parse_place(cfg.place)
+    place = _place_over_q(cfg.place)
     cc = clemens_complex(model, place, cfg.restrict)
     payload = {
         "model": model.id,
@@ -222,7 +218,7 @@ def _run_clemens(cfg: ExperimentConfig):
 
 def _run_density(cfg: ExperimentConfig):
     model = get_model(cfg.model)
-    place = _parse_place(cfg.place)
+    place = _place_over_q(cfg.place)
     if place.is_finite:
         val = density.denef_density(model, place.prime, cfg.s, restrict=cfg.restrict)
     else:

@@ -97,15 +97,13 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
     without it, over all of X(Q_p) -- the form used at places in S.  ``p``
     is a prime or an integer array of primes and ``s`` an s0 or an array of
     them: the value has their broadcast shape, a Python complex for scalars.
-    A prime with p^dim >= 2^63, past int64 in the stratum counts, raises
-    ConfigError."""
-    q = np.asarray(p, dtype=np.int64)
-    if q.size and int(q.max()) ** model.dim >= 2**63:
-        safe = math.ceil(2.0 ** (63 / model.dim)) - 1  # the largest c with c^dim < 2^63
-        raise ConfigError(f"dimension {model.dim}: p = {q.max()} passes int64; the largest safe prime cutoff is {safe}")
+    The stratum counts are formed in float, so any prime and dimension
+    work: they are exact integers below 2^53, and past it carry a few ulp
+    of rounding, as their scaling by p^-dim does anyway."""
+    q = np.asarray(p, dtype=float)
     smap = _s_map(model, s)
     lnq = np.log(q)
-    qdim = q.astype(float) ** model.dim
+    qdim = q**model.dim
     total = np.zeros(np.broadcast(q, *smap.values()).shape, dtype=complex)
     for A in [frozenset()] + model.incidence_faces():
         if restrict and A & model.divisors.removed:
@@ -121,7 +119,7 @@ def denef_density(model: CompactificationModel, p, s, restrict: bool = True):
             pole = np.abs(denom) < 1e-13
             if np.any(pole):
                 at, s_at = (np.broadcast_to(x, pole.shape)[pole][0] for x in (q, smap[alpha]))
-                raise PoleError(f"local density pole at p={at}, s_{alpha}={s_at}, alpha={alpha}")
+                raise PoleError(f"local density pole at p={int(at)}, s_{alpha}={s_at}, alpha={alpha}")
             term = term * ((q - 1) / denom)
         total += term
     return complex(total) if total.ndim == 0 else total

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import hankel1e, j0
 
-from .errors import PoleError
+from .errors import ConfigError, PoleError
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,6 +107,21 @@ class Place:
     @classmethod
     def finite(cls, p: int) -> "Place":
         return cls("finite", p)
+
+    @classmethod
+    def parse(cls, text) -> "Place":
+        """The place a name stands for: "real", "inf" or "oo" is the real
+        place, "complex" or "C" the complex place, and a prime p (as text or
+        an int) is Q_p.  Anything else raises ConfigError."""
+        text = str(text)
+        if text in ("real", "inf", "oo"):
+            return cls.real()
+        if text in ("complex", "C"):
+            return cls.complex_()
+        try:
+            return cls.finite(int(text))
+        except ValueError:
+            raise ConfigError(f"unknown place {text!r}: use real, complex or a prime") from None
 
     @property
     def is_finite(self) -> bool:

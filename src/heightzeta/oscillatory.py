@@ -98,16 +98,6 @@ def schwartz_level(phi: StepFunction) -> int:
     return phi.min_level()
 
 
-def vanishing_threshold(p: int, d: int, phi: StepFunction) -> int:
-    """T with  int_{Z_p minus pZ_p} phi(x) psi(a x^d) dx = 0  whenever
-    |a|_p >= T, namely max(q^{n(phi)+c+1}, q^{2(c+1)}) with c = v_p(d)."""
-    if phi.support_exp > 0:
-        raise ValueError("threshold formula requires support inside Z_p")
-    c = padic(p).valuation(d)
-    n = schwartz_level(phi)
-    return p ** max(n + c + 1, 2 * (c + 1))
-
-
 def coset_phase_integral(
     p: int,
     xi,

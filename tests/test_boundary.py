@@ -14,6 +14,7 @@ from heightzeta.boundary import (
     pole_orders,
 )
 from heightzeta.catalog import MODELS, get_model
+from heightzeta.errors import NumericError
 from heightzeta.localfield import Place
 
 F = Fraction
@@ -100,6 +101,16 @@ def test_pole_orders_examples():
     assert b0 == 2 and ba == 1
     b0, ba = pole_orders(get_model("E5"), [R], (F(1), F(1)))
     assert b0 == 2 and ba == 0
+
+
+def test_pole_order_domination_failure_is_numeric(monkeypatch):
+    # a form with no pole anywhere would break b_a < b_0: a NumericError
+    # (exit 4), not a bare AssertionError
+    from heightzeta import boundary
+
+    monkeypatch.setattr(boundary, "divisor_coefficients", lambda model, a: {alpha: 0 for alpha in model.norm_coords})
+    with pytest.raises(NumericError, match="domination"):
+        pole_orders(get_model("E5"), [R], (F(1), F(0)))
 
 
 def test_pole_order_domination_exhaustive():

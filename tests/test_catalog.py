@@ -125,8 +125,22 @@ def test_places_from_spec():
     assert S[0].kind == "real" and S[1].prime == 5
     with pytest.raises(ConfigError):
         places_from_spec([5])
-    with pytest.raises(ConfigError):
-        places_from_spec(["inf", 11])
+    # any prime may join S, under every name of the real place
+    assert places_from_spec(["real", 11, "13"]) == [R, Place.finite(11), Place.finite(13)]
+    assert places_from_spec(["oo", "2", 101]) == [R, Place.finite(2), Place.finite(101)]
+    # not a prime, not a place, and the complex place, which Q does not have
+    for bad in (["inf", 4], ["inf", "x"], ["inf", "complex"], ["inf", "C"], ["inf", Place.complex_()]):
+        with pytest.raises(ConfigError):
+            places_from_spec(bad)
+
+
+def test_place_parse():
+    assert [Place.parse(t) for t in ("real", "inf", "oo")] == [R] * 3
+    assert [Place.parse(t) for t in ("complex", "C")] == [Place.complex_()] * 2
+    assert Place.parse("13") == Place.parse(13) == Place.finite(13)
+    for bad in ("4", "1", "0", "-3", "x", "", "5.0", "Inf"):
+        with pytest.raises(ConfigError):
+            Place.parse(bad)
 
 
 def test_describe():

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import zeta as riemann_zeta
 
 from heightzeta import census
-from heightzeta.catalog import CompactificationModel, get_model
+from heightzeta.catalog import CompactificationModel, get_model, places_from_spec
 from heightzeta.census import (
     count_sintegers,
     count_table,
@@ -64,7 +65,8 @@ def _heights(model_id, primes, H):
 
 def _product_count(hx, hy, B):
     """#{(x, y) : H(x) H(y) <= B} from the height lists of x and y."""
-    return sum(1 for a in hx for b in hy if a * b <= B)
+    hy = sorted(hy)
+    return sum(bisect.bisect_right(hy, F(B) / a) for a in hx)
 
 
 def test_count_E1():
@@ -173,6 +175,27 @@ def test_count_E3_with_finite_place():
             if (math.lcm(d1, d2) * max(1, abs(x), abs(y))) ** 2 <= B
         )
         assert enumerate_points(m, _places(primes), B) == brute
+
+
+@pytest.mark.parametrize("primes, B", [((11,), 60), ((13,), 60), ((2, 101), 110)])
+def test_count_any_prime_in_S(primes, B):
+    """S may hold any prime: E1, E4 and E5 from the E1 and E2 heights by
+    the catalog height, and E3 from its points (a/D, b/D) in lowest terms,
+    of height max(D, |a|, |b|)^2, at a B that reaches the largest prime."""
+    S = places_from_spec(["inf", *primes])
+    h1 = _heights("E1", primes, B)
+    assert enumerate_points(get_model("E1"), S, B) == len(h1)
+    assert enumerate_points(get_model("E5"), S, B) == _product_count(h1, h1, B)
+    assert enumerate_points(get_model("E4"), S, B) == _product_count(_heights("E2", (), B), h1, B)
+    T = max(primes)
+    brute = sum(
+        1
+        for D in _s_units(primes, T)
+        for a in range(-T, T + 1)
+        for b in range(-T, T + 1)
+        if math.gcd(a, b, D) == 1
+    )
+    assert enumerate_points(get_model("E3"), S, T * T) == brute
 
 
 def _block_brute(model, primes, B):

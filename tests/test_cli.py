@@ -95,6 +95,25 @@ def test_theta_json(tmp_path):
     assert abs(d["theta"] - 4.0) < 0.05
 
 
+def test_S_any_prime_and_real_alias(tmp_path):
+    # S may hold any prime, and "real", "inf" and "oo" name one place
+    for cmd in (["theta", "--model", "E5"], ["count", "--model", "E1", "--B-grid", "1e2,1e4"]):
+        outs = {}
+        for S in ("inf,5", "real,5", "oo,5"):
+            outs[S] = tmp_path / f"{cmd[0]}_{S}"
+            assert main([*cmd, "--S", S, "--out", str(outs[S])]) == 0, (cmd, S)
+        names = sorted(p.name for p in outs["inf,5"].iterdir())
+        for S in ("real,5", "oo,5"):
+            assert sorted(p.name for p in outs[S].iterdir()) == names
+            assert all(_read(outs[S] / n) == _read(outs["inf,5"] / n) for n in names), (cmd, S)
+    assert main(["theta", "--model", "E5", "--S", "inf,13", "--out", str(tmp_path)]) == 0
+    d = json.loads(_read(tmp_path / "theta_E5.json"))
+    assert (d["S"], d["b"]) == (["real", "Q_13"], 4)
+    assert main(["count", "--model", "E1", "--S", "real,13", "--B", "100", "--out", str(tmp_path)]) == 0
+    # x = m with |m| <= 100, or m/13 with 13 not dividing m and |m| <= 100
+    assert json.loads(_read(tmp_path / "count_E1.json"))["rows"][0]["N"] == 201 + sum(1 for m in range(-100, 101) if m % 13)
+
+
 def test_clemens_json(tmp_path):
     assert main(["clemens", "--model", "E5", "--place", "real", "--out", str(tmp_path)]) == 0
     d = json.loads(_read(tmp_path / "clemens_E5.json"))
@@ -174,6 +193,15 @@ def test_error_exit_codes(tmp_path):
         ["theta", "--model", "E1", "--S", "inf,5,5"],
         ["theta", "--model", "E1", "--S", "inf,inf"],
         ["theta", "--model", "E1", "--S", "inf,real"],
+        # a place that is not a prime or a name, and the complex place,
+        # which Q does not have, whether in S or as --place of a model
+        ["theta", "--model", "E1", "--S", "inf,x"],
+        ["theta", "--model", "E1", "--S", "inf,4"],
+        ["theta", "--model", "E1", "--S", "inf,complex"],
+        ["density", "--model", "E3", "--place", "complex", "--s", "2"],
+        ["density", "--model", "E3", "--place", "C", "--s", "2"],
+        ["clemens", "--model", "E5", "--place", "complex"],
+        ["clemens", "--model", "E5", "--place", "C"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 2, argv
     # a non-finite B is a config error, not a traceback or a numeric failure,

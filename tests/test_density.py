@@ -16,7 +16,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 import heightzeta
 from heightzeta import density
 from heightzeta.boundary import ep_rank, exponent_b
-from heightzeta.catalog import MODELS, CompactificationModel, get_model
+from heightzeta.catalog import MODELS, CompactificationModel, get_model, places_from_spec
 from heightzeta.density import (
     arch_density,
     brute_density_oracle,
@@ -102,14 +102,15 @@ def test_denef_density_broadcasts_over_s():
 
 
 def test_denef_density_int64_limit():
-    # the stratum counts of a 3-dimensional model reach p^3 in int64, and
-    # 2097151^3 < 2^63 <= 2097152^3: the largest prime below is still exact
+    # the stratum counts are floats, so p^3 may pass 2^63 (2097152^3 does):
+    # the local factor stays 1 + O(1/p^2), and Theta takes the long cutoff
     m = CompactificationModel("T3", {"Dx": (0,), "Dy": (1,), "Dz": (2,)}, removed={"Dz"})
     assert abs(denef_density(m, 2097143, 1.0) - 1.0) < 1e-5
-    with pytest.raises(ConfigError, match="dimension 3.*2097151"):
-        denef_density(m, np.array([2, 2999999]), 1.0)
-    with pytest.raises(ConfigError, match="dimension 3.*2097151"):
-        theta_constant(m, [R], prime_cutoff=3_000_000)
+    got = denef_density(m, np.array([2, 2999999]), 1.0)
+    assert got[0] == denef_density(m, 2, 1.0)
+    assert abs(got[1] - 1.0) < 1e-5
+    r = theta_constant(m, [R], prime_cutoff=3_000_000)
+    assert math.isfinite(r.theta) and r.euler_tail < 1e-6
 
 
 def test_denef_pole_in_s_array():
@@ -149,16 +150,15 @@ def test_theta_contour_matches_scalar_loop(primes):
             assert abs(got - want) <= 1e-15 * abs(want), (mid, primes, cutoff, got, want)
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 8])
+@pytest.mark.parametrize("k", [4, 5, 6, 8, 12])
 def test_theta_large_blocks(k):
     # P^k with nothing removed has Theta = 2^k/zeta(k+1).  The contour circle
     # shrinks with k to keep the pole at s = k/(k+1) out; at the fixed radius
-    # 0.03 the ratio was 1e-12 off at k = 5 and 7e-10 at k = 8.  The prime
-    # cutoff stays below the int64 limit of the stratum counts
+    # 0.03 the ratio was 1e-12 off at k = 5 and 7e-10 at k = 8.  The default
+    # prime cutoff holds for every k, as the stratum counts are floats
     from scipy.special import zeta
 
-    cutoff = min(10_000, math.ceil(2.0 ** (63 / k)) - 1)
-    theta = theta_constant(CompactificationModel(f"P{k}", {"H": tuple(range(k))}), [R], prime_cutoff=cutoff).theta
+    theta = theta_constant(CompactificationModel(f"P{k}", {"H": tuple(range(k))}), [R]).theta
     assert abs(theta / (2**k / zeta(k + 1)) - 1.0) < 1e-13
 
 
@@ -815,6 +815,27 @@ def test_theta_closed_forms():
     want = 4.0 / float(mpmath.zeta(3))
     r = theta_constant(get_model("E6"), [R], prime_cutoff=10_000)
     assert abs(r.theta - want) <= 1e-8 * want, (r.theta, want)
+
+
+@pytest.mark.parametrize("primes", [(13,), (11, 13)])
+def test_theta_any_prime_in_S(primes):
+    # (Theta (b-1)!, b) in closed form, as above; E2 and E6 keep every label,
+    # so S leaves them alone, and E4 is E2 times E1.  E2, E4 and E6 differ by
+    # the truncation of their Euler products at the default cutoff
+    fin = [(1 - 1 / p) / math.log(p) for p in primes]
+    closed = {
+        "E1": (2.0 * math.prod(fin), 1 + len(primes), 1e-14),
+        "E2": (12 / math.pi**2, 1, 2e-5),
+        "E3": (4.0 * math.prod((1 - p**-2) / (2 * math.log(p)) for p in primes), 1 + len(primes), 1e-14),
+        "E4": (24 / math.pi**2 * math.prod(fin), 2 + len(primes), 2e-5),
+        "E5": (4.0 * math.prod(fin) ** 2, 2 + 2 * len(primes), 1e-14),
+        "E6": (4.0 / float(mpmath.zeta(3)), 1, 1e-9),
+    }
+    for mid, (want, b, tol) in closed.items():
+        r = theta_constant(get_model(mid), places_from_spec(["inf", *primes]))
+        want /= math.factorial(b - 1)
+        assert r.b == b, (mid, r.b)
+        assert abs(r.theta - want) <= tol * want, (mid, r.theta, want)
 
 
 def test_theta_cross_validation():

@@ -30,7 +30,6 @@ from heightzeta.oscillatory import (
     osc_integral_1d,
     osc_integral_nd,
     schwartz_level,
-    vanishing_threshold,
 )
 
 F = Fraction
@@ -90,6 +89,15 @@ def test_schwartz_level():
     assert schwartz_level(StepFunction.indicator_coset(2, 1, 2)) == 2
     # stored at level 3 but constant mod p: minimality is computed
     assert schwartz_level(StepFunction.indicator_zp(3).refine(3)) == 1
+
+
+def vanishing_threshold(p: int, d: int, phi: StepFunction) -> int:
+    """T with  int_{Z_p minus pZ_p} phi(x) psi(a x^d) dx = 0  whenever
+    |a|_p >= T, namely max(q^{n(phi)+c+1}, q^{2(c+1)}) with c = v_p(d):
+    the vanishing lemma the tests below check by brute force."""
+    assert phi.support_exp <= 0, "the lemma needs support inside Z_p"
+    c = padic(p).valuation(d)
+    return p ** max(schwartz_level(phi) + c + 1, 2 * (c + 1))
 
 
 def test_vanishing_threshold_values():
