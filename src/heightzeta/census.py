@@ -9,6 +9,14 @@ arithmetic (a kept one reads its small quotients off an int64 sieve head),
 a convolution int64 arrays; the budget, and the head's size, bound every
 int64 value below 2^63, so no point is miscounted and no result depends on
 a thread count.
+
+The Jordan totients J_k and the kept blocks' cumulative counts are one
+read-only int64 table per k in the process, the largest asked for, and
+every caller reads a prefix of it: counts and volumes share one sieve, and
+a count repeated in the process sieves nothing.  Their values are exact, so
+a prefix equals a fresh table, and a count reads P(T) straight off a table
+only where T (2T + 1)^k < 2^63.  Each table holds 8 bytes per entry, 24 MB
+at E2's budget top T = 3e6.
 """
 
 from __future__ import annotations
@@ -18,13 +26,12 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .catalog import CompactificationModel
 from .density import arch_density, fourier_finite, s_vector
@@ -90,6 +97,27 @@ def iroot(n, k: int):
         x = y
 
 
+class _PrefixTables:
+    """Decorates build(n, k), an int64 array over 0..n whose entries do not
+    depend on n, with one read-only table per k: the largest built so far,
+    of which a call reads the prefix [: n + 1], built again only past its end."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self.build, self.tables = build, {}
+
+    def __call__(self, n: int, k: int) -> np.ndarray:
+        t = self.tables.get(k)
+        if t is None or len(t) <= n:
+            t = self.tables[k] = self.build(n, k)
+            t.flags.writeable = False
+        return t[: n + 1]
+
+    def reaches(self, n: int, k: int) -> bool:
+        return len(self.tables.get(k, ())) > n
+
+
+@_PrefixTables
 def _jordan_upto(n: int, k: int) -> np.ndarray:
     """Jordan's totient J_k(0..n) = m^k prod_{p | m} (1 - p^-k) as int64
     (k = 1 is Euler phi): the primes up to sqrt(n) by slices, which also
@@ -97,7 +125,9 @@ def _jordan_upto(n: int, k: int) -> np.ndarray:
     prime P above sqrt(n): J_k(m) = P^k J_k(s) - J_k(s), a gather of J at s.
     Every value is at most n^k, which the callers keep below 2^63: a kept
     block's table by _kept_head or the convolution's guard in _work, the
-    volumes with k <= 2 and n below 3e6 by the budget."""
+    volumes with k <= 2 and n below 3e6 by the budget.  The values are exact,
+    so the one table per k that the process keeps (the largest n asked for;
+    24 MB at E2's budget top n = 3e6) serves each smaller n as its prefix."""
     idx = np.arange(n + 1, dtype=np.int64)
     J = idx**k
     small = np.ones(n + 1, dtype=np.int64)
@@ -171,10 +201,14 @@ def count_sintegers(B: Fraction, primes: list[int]) -> int:
     return _SUnits(primes, n).count(n)
 
 
+@_PrefixTables
 def _kept_table(T: int, k: int) -> np.ndarray:
     """#P^k(Q) of height <= h for h = 0..T: sum_j c_j J_j(m) points have height
     m, c_j the coefficients of m (2m + 1)^k - (m - 1)(2m - 1)^k (4 Phi - 1 if k = 1).
-    Its values are at most T (2T + 1)^k, the points m/e with |m_i|, e <= T."""
+    Its values are at most T (2T + 1)^k, the points m/e with |m_i|, e <= T,
+    which its callers keep below 2^63 (_kept_head, _kept_count and _work).
+    Like the J_j it reads, it is one cumulative table per k in the process,
+    read as prefixes (24 MB at E2's budget top T = 3e6)."""
     up = [math.comb(k, i) << i for i in range(k + 1)]  # (2m + 1)^k = sum_i up_i m^i
     c = [(-1) ** (k - j) * up[j] + (1 + (-1) ** (k - j)) * up[j - 1] for j in range(1, k + 1)]
     g = sum(cj * _jordan_upto(T, j) for j, cj in enumerate(c, 1))
@@ -207,7 +241,13 @@ def _kept_count(T: int, k: int) -> int:
     q <= L only, so each int64 sum is at most sum_{g: floor(v/g) <= L}
     f(floor(v/g)) <= f(L) + v int_1^(L+1) (3u)^k du/u <= 2 3^k T (L + 1)^k
     < 2^63.  With no head (L = 0) this is the plain recursion over every
-    value, O(T^(3/4)) steps."""
+    value, O(T^(3/4)) steps.  Once the process holds every J_j, j <= k, up
+    to T (a volume at the same B sieved them), P(T) is read off
+    _kept_table(T, k) instead, where T (2T + 1)^k < 2^63 keeps its int64
+    values exact; above that bound the recursion runs as if the tables were
+    not there."""
+    if T * (2 * T + 1) ** k < 2**63 and all(_jordan_upto.reaches(T, j) for j in range(1, k + 1)):
+        return int(_kept_table(T, k)[T])
     L = _kept_head(T, k)[0]
     head = _kept_table(L, k) if L else None
     r = isqrt(T)
@@ -485,8 +525,10 @@ def poisson_crosscheck(model, s: float, A: int, *, height_cutoff: int = 300_000)
         hs = np.arange(1, T + 1, dtype=float)
         lhs = 3.0 + float(np.sum(4.0 * phis[1:] * hs[1:] ** (-w)))
         lhs_tail = (24.0 / math.pi**2) * T ** (2.0 - w) / (w - 2.0)
-        zw = float(_riemann_zeta(w))
-        zw1 = float(_riemann_zeta(w - 1.0))
+        from scipy.special import zeta
+
+        zw = float(zeta(w))
+        zw1 = float(zeta(w - 1.0))
         arch = [arch_density(model, a, s).real for a in range(max(A, 0) + 1)]
         vals = [(0, arch[0] * zw1 / zw)]
         for a in [t for t in range(-A, A + 1) if t != 0]:

@@ -42,12 +42,11 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .boundary import divisor_coefficients, ep_rank, exponent_b
 from .catalog import CompactificationModel
 from .errors import ConfigError, NonconvergentError, NumericError, PoleError
-from .localfield import Place, is_prime, padic, primes_upto, quad_complex, residue_c
+from .localfield import Place, is_prime, padic, prime_array, quad_complex, residue_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -494,7 +493,9 @@ def zeta_S(w: float, S: Sequence[Place]) -> float:
     """Riemann zeta with the Euler factors at the finite places of S removed."""
     if w <= 1.0:
         raise PoleError("zeta_S requires w > 1")
-    return math.prod([float(_riemann_zeta(w))] + [1.0 - v.prime ** (-w) for v in S if v.is_finite])
+    from scipy.special import zeta
+
+    return math.prod([float(zeta(w))] + [1.0 - v.prime ** (-w) for v in S if v.is_finite])
 
 
 def _euler_pass(model, smap: dict, S: Sequence[Place], cutoff: int) -> tuple[np.ndarray, complex, complex]:
@@ -502,8 +503,10 @@ def _euler_pass(model, smap: dict, S: Sequence[Place], cutoff: int) -> tuple[np.
     local densities at ``smap``, and the running product of those times
     each kept label's factor 1 - p^-w, w = 1 + s_alpha - rho_alpha, up to
     the cutoff and up to half of it, multiplied left to right (entry k of
-    ``running`` is the product of the first k factors)."""
-    primes = np.array(primes_upto(cutoff), dtype=np.int64)
+    ``running`` is the product of the first k factors).  The primes are a
+    prefix of the one read-only prime table of the process
+    (``prime_array``), which is sieved again only past its end."""
+    primes = prime_array(cutoff)
     primes = primes[~np.isin(primes, [v.prime for v in S if v.is_finite])]
     loc = reg = denef_density(model, primes, smap, restrict=True)
     for alpha in model.divisors.kept:

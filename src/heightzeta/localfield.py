@@ -1,5 +1,6 @@
 """Exact and numeric arithmetic on the completions of Q, and the one
-integer kernel of the package (the prime sieve and trial factoring).
+integer kernel of the package (the prime sieve, trial factoring and a
+deterministic Miller-Rabin primality test).
 
 The three kinds of places are the real place, the complex place (used only
 by the one-dimensional oscillatory theory) and the finite places Q_p.
@@ -21,7 +22,8 @@ fractional part), e^{-2 pi i x} on R and e^{-4 pi i Re(x)} on C.
 Tate integrals and the Fourier transforms of test functions, at every
 place, are ``oscillatory.osc_integral_1d`` at special arguments (a = 0,
 d = 1, and d = s = 1), imported at call time since that module imports
-this one.
+this one.  scipy is imported by the functions that call it (QUADPACK,
+J_0 and the Hankel function), so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import hankel1e, j0
 
 from .errors import ConfigError, PoleError
 
@@ -48,14 +48,30 @@ Rational = Fraction | int
 # integer arithmetic: the one prime sieve and the one factoring routine
 
 
+_SIEVED: list = [-1, np.zeros(0, dtype=np.int64)]  # the largest n sieved and its primes
+
+
+def prime_array(n: int) -> np.ndarray:
+    """The primes p <= n, n >= 0, in ascending order, as a read-only int64
+    array: a prefix, cut by searchsorted, of the one table the process
+    keeps, sieved again (Eratosthenes) only when n passes the largest n
+    asked for."""
+    if n > _SIEVED[0]:
+        sieve = np.ones(n + 1, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        primes = np.flatnonzero(sieve).astype(np.int64)
+        primes.flags.writeable = False
+        _SIEVED[:] = n, primes
+    primes = _SIEVED[1]
+    return primes[: np.searchsorted(primes, n, side="right")]
+
+
 def primes_upto(n: int) -> list[int]:
-    """The primes p <= n, n >= 0, in ascending order (sieve of Eratosthenes)."""
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return np.flatnonzero(sieve).tolist()
+    """The primes p <= n, n >= 0, in ascending order, as a list."""
+    return prime_array(n).tolist()
 
 
 def prime_factors(n: int) -> Iterator[int]:
@@ -72,8 +88,33 @@ def prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to all of _MR_BASES
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(prime_factors(n)) == n
+    """Whether the integer n is prime: below 3.3e24 the strong probable-prime
+    (Miller-Rabin) test to the first 13 primes as bases, which no composite
+    there passes, so the answer is exact; above, trial division."""
+    if n >= _MR_BOUND:
+        return next(prime_factors(n)) == n
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    n = int(n)  # pow's modulus takes no numpy integer
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +534,8 @@ def quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, 
     Fourier weights are inaccurate at wvar = 0, so callers integrate that
     case without a weight.  With ``weight`` "alg" and ``wvar`` (alpha, beta)
     the integrand is f(t) (t - a)^alpha (b - t)^beta, integrated by QAWS."""
+    from scipy.integrate import quad
+
     kwargs = dict(epsabs=epsabs, epsrel=epsrel, full_output=1)
     if weight is None:
         kwargs.update(points=points, limit=limit)
@@ -517,6 +560,8 @@ def quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
     no Python.  A float value at a node of QUADPACK's first rule (the middle
     of [a, b], or a) takes one pass per weight, a complex value the two of
     ``quad_complex``; either way the bits are those of four such passes."""
+    from scipy.integrate import quad
+
     kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
     if omega == 0.0:
         return quad_complex(f, a, b, **kw)
@@ -537,6 +582,8 @@ def radial_j0_integral(g, R: float, X: float, d: int = 1, *, epsrel: float = 1e-
     itself.  On the far side t = r^d, and J_0(Xt) = Re(H(t) e^{iXt}) with
     H(t) = hankel1e(0, Xt) smooth, so Re H and Im H go under the QAWO
     cosine and sine weights at frequency X."""
+    from scipy.special import hankel1e, j0
+
     rho = R if X * R**d <= 1.0 else X ** (-1.0 / d)
     total, err = quad_complex(lambda r: g(r) * j0(X * r**d), 0.0, rho, epsrel=epsrel)
     if rho < R:

@@ -350,11 +350,12 @@ def _budget_top(model, S):
     return lo
 
 
-def test_kept_count_matches_plain_recursion():
+def test_kept_count_matches_plain_recursion(monkeypatch):
     """The lone kept block count with its sieve head equals the plain
     recursion for k <= 4: every T <= 300 (no head), both sides of the
     crossover, where the k >= 3 head shrinks under its int64 bound, and at
     the E2 and E6 budget tops."""
+    _fresh_tables(monkeypatch)  # no J_j table reaches T, so every count runs the recursion
     tops = [census.iroot(_budget_top(get_model("E2"), R), 2), census.iroot(_budget_top(get_model("E6"), R), 3)]
     assert all(2_900_000 < T < 3_000_000 for T in tops)
     first = next(T for T in range(2, 10**4) if census._kept_head(T, 1)[0])
@@ -537,6 +538,62 @@ def test_jordan_upto_matches_division_sieve():
     for k in (1, 2, 3):
         for n in ns:
             assert np.array_equal(census._jordan_upto(n, k), _jordan_loop(n, k)), (n, k)
+
+
+def _fresh_tables(monkeypatch):
+    """Empty the process's J_k and kept-block tables for one test; the
+    tables the test fills are dropped at its end."""
+    for table in (census._jordan_upto, census._kept_table):
+        monkeypatch.setattr(table, "tables", {})
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_prefix_tables_equal_fresh_computation(monkeypatch, order):
+    """A J_k or kept-block table is a prefix of the one table per k that the
+    process keeps; it equals a fresh sieve and a fresh cumulative count
+    whatever sizes were asked for before it."""
+    ns = [1, 7, 60, 299, 4096, 20_000]
+    ns = {"ascending": ns, "descending": ns[::-1], "interleaved": [299, 7, 4096, 1, 20_000, 60]}[order]
+    _fresh_tables(monkeypatch)
+    for n in ns:
+        for k in (1, 2, 3):
+            assert np.array_equal(census._jordan_upto(n, k), _jordan_loop(n, k)), (order, n, k)
+            P = census._kept_table(n, k)
+            assert np.array_equal(P, census._kept_table.build(n, k)), (order, n, k)
+            f = lambda t, k=k: t * (2 * t + 1) ** k
+            for h in {n, n // 2, n // 3, math.isqrt(n)} - {0}:
+                assert P[h] == _mobius_sum_loop(h, f), (order, n, k, h)
+    assert [len(t) for t in census._jordan_upto.tables.values()] == [20_001] * 3
+
+
+def test_tables_are_read_only():
+    for table in (census._jordan_upto(50, 2), census._kept_table(50, 1)):
+        with pytest.raises(ValueError):
+            table[3] = 0
+
+
+def test_count_unchanged_by_volume_tables(monkeypatch):
+    """A volume fills the J_k tables that a count may then read its kept
+    blocks from; for every model the count after the volume equals the one
+    before it, with empty tables.  E6 at 3333333333333333333 with J_1 and
+    J_2 held is past the int64 bound T (2T + 1)^2 < 2^63 of a table read,
+    which would wrap there, so it keeps the recursion; E2 and E4 are taken
+    at their budget tops, where E2 reads its count off the table."""
+    big = 3_333_333_333_333_333_333
+    T6 = census.iroot(big, 3)
+    assert T6 * (2 * T6 + 1) ** 2 >= 2**63
+    cases = [(mid, 10**6) for mid in ("E1", "E2", "E3", "E4", "E5", "E6")]
+    cases += [("E6", big), ("E2", _budget_top(get_model("E2"), R)), ("E4", _budget_top(get_model("E4"), R))]
+    for mid, B in cases:
+        _fresh_tables(monkeypatch)
+        model = get_model(mid)
+        before = enumerate_points(model, R, B)
+        volume_V(model, R, B)
+        if mid == "E6":
+            census._jordan_upto(census.iroot(B, 3), 1)
+        assert enumerate_points(model, R, B) == before, (mid, B)
+        if mid == "E2" and B > 10**6:  # it read the count off the table
+            assert census._kept_table.reaches(census.iroot(B, 2), 1)
 
 
 def _volume_loop(mid, S, B):

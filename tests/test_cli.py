@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,13 @@ def test_error_exit_codes(tmp_path):
         ["fit", "--model", "E1", "--S", "inf", "--B-grid", "10,20,30,40,50", "--b", "40"],
     ):
         assert main([*argv, "--out", str(tmp_path)]) == 4, argv
+
+
+def test_cli_import_loads_no_scipy():
+    """The quadrature and special functions import scipy when they run, so a
+    command that needs neither (describe, clemens, count) never loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, heightzeta.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -714,6 +714,20 @@ def test_euler_product_matches_prime_loop():
                 assert abs(e.corrected - corrected * head) <= 1e-13 * abs(corrected * head), (mid, fin, s0)
 
 
+def test_euler_pass_reads_the_primes_off_S(monkeypatch):
+    """_euler_pass cuts its primes off the process's prime table at the
+    cutoff: the primes up to it, less those of S, in any order of cutoffs."""
+    seen = []
+    evaluate = density.denef_density
+    monkeypatch.setattr(density, "denef_density", lambda m, p, s, **kw: seen.append(p.tolist()) or evaluate(m, p, s, **kw))
+    m = get_model("E4")
+    for cutoff in (30_000, 1, 2, 10, 9973, 9972, 2000, 40_000):
+        for fin in ((), (5,), (2, 3), (13, 9973)):
+            S = [R] + [Place.finite(p) for p in fin]
+            loc, _, _ = density._euler_pass(m, s_vector(m, 1.0), S, cutoff)
+            assert seen[-1] == [p for p in primes_upto(cutoff) if p not in fin] and len(loc) == len(seen[-1])
+
+
 def test_products_without_primes():
     # no prime outside S up to the cutoff: the empty product, pinned by repr
     Q2, Q3 = Place.finite(2), Place.finite(3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightzeta import localfield
 from heightzeta.errors import NonconvergentError, PoleError
 from heightzeta.localfield import (
     BumpFunction,
@@ -19,6 +20,7 @@ from heightzeta.localfield import (
     fourier_test_fn,
     is_prime,
     padic,
+    prime_array,
     prime_factors,
     primes_upto,
     psi,
@@ -35,6 +37,29 @@ C = Place.complex_()
 def test_primes_upto_matches_is_prime():
     assert primes_upto(10**4) == [n for n in range(10**4 + 1) if is_prime(n)]
     assert (primes_upto(0), primes_upto(1), primes_upto(2)) == ([], [], [2])
+
+
+def test_is_prime_matches_sieve():
+    primes = set(primes_upto(10**5))
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == sorted(primes)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (10**9 + 7))
+    # ten digits more than trial division can reach in a test
+    assert Place.parse("1000000000000000003") == Place.finite(10**18 + 3)
+
+
+def test_prime_array_is_a_read_only_prefix(monkeypatch):
+    """prime_array reads a prefix of one table per process, cut at n, in
+    whatever order the sizes come; the table is read-only."""
+    monkeypatch.setattr(localfield, "_SIEVED", [-1, np.zeros(0, dtype=np.int64)])
+    for n in (100, 10, 1000, 0, 2, 97, 98, 10**5, 500):
+        primes = prime_array(n)
+        assert primes.dtype == np.int64 and primes.tolist() == [p for p in range(n + 1) if is_prime(p)], n
+        with pytest.raises(ValueError):
+            primes[:1] = 4
+    assert localfield._SIEVED[0] == 10**5
 
 
 def test_prime_factors_ascending_distinct_complete():
