@@ -34,7 +34,6 @@ and the nodes of the circle; ``threads`` has no effect.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ import numpy as np
 from .boundary import divisor_coefficients, ep_rank, exponent_b
 from .catalog import CompactificationModel
 from .errors import ConfigError, NonconvergentError, NumericError, PoleError
-from .localfield import Place, is_prime, padic, prime_array, quad_complex, residue_c
+from .localfield import Place, _descent_rule, is_prime, padic, prime_array, quad_complex, residue_c
 
 TWO_PI = 2.0 * math.pi
 
@@ -382,17 +381,6 @@ _SPLIT_FREQ = 1.0
 _JOINT_MIN_RATIO = 1e-4
 
 
-@functools.cache
-def _descent_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y and weights times e^{-y} for int_0^inf g(y) e^{-y} dy: 20-point
-    Gauss-Legendre on the panels 0, 1/4, 1/2, 1, 2, ..., 32, 48, 64 (e^-64 = 2e-28)."""
-    edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0])
-    x, wq = np.polynomial.legendre.leggauss(20)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    y = ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel()
-    return y, ((hi - lo) / 2 * wq).ravel() * np.exp(-y)
-
-
 def _power_tail(w: complex, b: float, kind: str) -> complex:
     """int_1^inf x^{-w} cos(b x) dx (kind "cos") or x^{-w} sin(b x) dx
     (kind "sin") for b > 0; at b = 0 the cosine tail 1/(w - 1).  At a
@@ -447,7 +435,7 @@ def _arch_block_transform(a: Sequence[float], w) -> complex:
     below = [c for c in b[:-1] if c > 0.0]
     if math.prod(below) < _JOINT_MIN_RATIO * b[-1] ** len(below):
         raise NumericError(f"character {tuple(a)} is too close to an axis for the block transform")
-    tail = functools.lru_cache(maxsize=None)(_power_tail)  # each tail once per call
+    tails = {}  # each tail once per call
     total = math.prod(math.sin(c) / c if c else 1.0 for c in b)
     for j in reversed(range(k)):
         others = b[:j] + b[j + 1 :]
@@ -460,7 +448,9 @@ def _arch_block_transform(a: Sequence[float], w) -> complex:
             if f < 0.0:
                 f, neg = -f, neg != (kind == "sin")
             if f > 0.0 or kind == "cos":
-                val = tail(wj, f, kind)
+                if (wj, f, kind) not in tails:
+                    tails[wj, f, kind] = _power_tail(wj, f, kind)
+                val = tails[wj, f, kind]
                 term = (-val if neg else val) if term is None else (term - val if neg else term + val)
         if c:
             term = term / (2.0 ** len(c) * math.prod(c))

@@ -1,6 +1,6 @@
 """Exact and numeric arithmetic on the completions of Q, and the one
 integer kernel of the package (the prime sieve, trial factoring and a
-deterministic Miller-Rabin primality test).
+Miller-Rabin primality test, exact below 3.3e24 and Baillie-PSW above).
 
 The three kinds of places are the real place, the complex place (used only
 by the one-dimensional oscillatory theory) and the finite places Q_p.
@@ -92,19 +92,66 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to all of _MR_BASES
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of odd n > 41 with no factor
+    in _MR_BASES, on Selfridge's parameters: D the first of 5, -7, 9, -11,
+    ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = k 2^r, n
+    passes when U_k = 0 or V_{k 2^j} = 0 for some j < r (mod n)."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # D shares a factor with n < |D|^2
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k, r = n + 1, 0
+    while k % 2 == 0:
+        k, r = k // 2, r + 1
+    half = lambda x: (x if x % 2 == 0 else x + n) // 2 % n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1 for P = 1
+    for bit in bin(k)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(r - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Whether the integer n is prime: below 3.3e24 the strong probable-prime
-    (Miller-Rabin) test to the first 13 primes as bases, which no composite
-    there passes, so the answer is exact; above, trial division."""
-    if n >= _MR_BOUND:
-        return next(prime_factors(n)) == n
+    """Whether the integer n is prime.  Below 3.3e24 the strong
+    probable-prime (Miller-Rabin) test to the first 13 primes as bases,
+    which no composite there passes, so the answer is exact.  Above it the
+    Baillie-PSW test, Miller-Rabin to base 2 and a strong Lucas test
+    (``_strong_lucas``): no composite is known to pass both, and each
+    takes O(log n) multiplications of n-digit integers."""
     if n < 2 or any(n % p == 0 for p in _MR_BASES):
         return n in _MR_BASES
     n = int(n)  # pow's modulus takes no numpy integer
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _MR_BOUND else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -114,7 +161,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +547,18 @@ class BumpFunction:
     def values(self, x: np.ndarray) -> np.ndarray:
         """The bump at every point of ``x``, as __call__ but in numpy."""
         lo, hi = self.support
-        u = x - self.center
-        inside = (x > lo) & (x < hi) & (np.abs(u) < self.radius)
-        w = 1.0 - (u[inside] * u[inside]) / (self.radius * self.radius)
+        inside = (x > lo) & (x < hi) & (np.abs(x - self.center) < self.radius)
         out = np.zeros(np.shape(x))
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / w)
+        out[inside] = self.analytic(x[inside])
         return out
+
+    def analytic(self, z):
+        """amplitude * exp(1 - 1/(1 - u^2)) at real or complex z, a number
+        or an array, without the support mask: inside the support the bump,
+        off the real line its analytic continuation, which is analytic
+        away from the two ends of the support."""
+        u = z - self.center
+        return self.amplitude * np.exp(1.0 - 1.0 / (1.0 - (u * u) / (self.radius * self.radius)))
 
 
 @dataclass
@@ -533,7 +586,14 @@ def quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, 
     f(t) sin(wvar t), integrated by QAWO (QAWF when b is infinite).  The
     Fourier weights are inaccurate at wvar = 0, so callers integrate that
     case without a weight.  With ``weight`` "alg" and ``wvar`` (alpha, beta)
-    the integrand is f(t) (t - a)^alpha (b - t)^beta, integrated by QAWS."""
+    the integrand is f(t) (t - a)^alpha (b - t)^beta, integrated by QAWS.
+
+    f is first evaluated at the middle of [a, b] (at a when b is infinite).
+    A complex value there gives a real and an imaginary QUADPACK pass that
+    read one ``functools.cache`` of f, C code, so f runs once per node and
+    the bits are those of two passes that each evaluate f afresh.  A float
+    value gives the real pass alone, on f itself, since the imaginary part
+    is 0: a table would cost more than it saves on one pass."""
     from scipy.integrate import quad
 
     kwargs = dict(epsabs=epsabs, epsrel=epsrel, full_output=1)
@@ -543,36 +603,40 @@ def quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, 
         kwargs.update(weight=weight, wvar=wvar)
         if not math.isinf(b):
             kwargs["limit"] = limit
-
-    def part(g):
-        val, err, *_ = quad(g, a, b, **kwargs)
-        return val, err
-
-    re, e1 = part(lambda t: f(t).real)
-    im, e2 = part(lambda t: f(t).imag)
+    table = functools.cache(f)
+    if not isinstance(table(a if math.isinf(b) else 0.5 * (a + b)), complex):
+        val, err, *_ = quad(f, a, b, **kwargs)
+        return complex(val), err
+    re, e1, *_ = quad(lambda t: table(t).real, a, b, **kwargs)
+    im, e2, *_ = quad(lambda t: table(t).imag, a, b, **kwargs)
     return complex(re, im), e1 + e2
 
 
 def quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
     """Integral of f(t) e^{-i omega t} over [a, b] (b may be inf) with the
     oscillation handled by QAWO/QAWF; returns (value, err).  The cos and sin
-    passes read one ``functools.cache`` of f, C code, so a repeated node runs
-    no Python.  A float value at a node of QUADPACK's first rule (the middle
-    of [a, b], or a) takes one pass per weight, a complex value the two of
-    ``quad_complex``; either way the bits are those of four such passes."""
-    from scipy.integrate import quad
-
+    passes of ``quad_complex`` read one ``functools.cache`` of f, so a node
+    of both runs f once; the bits are those of four passes that each
+    evaluate f afresh."""
     kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
     if omega == 0.0:
         return quad_complex(f, a, b, **kw)
     table = functools.cache(f)
-    if isinstance(table(a if math.isinf(b) else 0.5 * (a + b)), complex):
-        run = lambda weight: quad_complex(table, a, b, weight=weight, wvar=omega, **kw)
-    else:  # quad_complex's options for one part
-        opts = dict(epsabs=epsabs, epsrel=epsrel, full_output=1) | ({} if math.isinf(b) else {"limit": limit})
-        run = lambda weight: quad(table, a, b, weight=weight, wvar=omega, **opts)[:2]
-    (c, e1), (s, e2) = run("cos"), run("sin")
+    (c, e1), (s, e2) = (quad_complex(table, a, b, weight=weight, wvar=omega, **kw) for weight in ("cos", "sin"))
     return complex(c.real + s.imag, c.imag - s.real), e1 + e2
+
+
+@functools.cache
+def _descent_rule(m: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights times e^{-y} for int_0^inf g(y) e^{-y} dy: m-point
+    Gauss-Legendre on the panels 0, 1/4, 1/2, 1, 2, ..., 32, 48, 64 (e^-64 = 2e-28).
+    The steepest-descent tails of ``density._power_tail`` and
+    ``oscillatory._inverse_real`` are dots with it."""
+    edges = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0])
+    x, wq = np.polynomial.legendre.leggauss(m)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    y = ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel()
+    return y, ((hi - lo) / 2 * wq).ravel() * np.exp(-y)
 
 
 def radial_j0_integral(g, R: float, X: float, d: int = 1, *, epsrel: float = 1e-10):
@@ -580,20 +644,24 @@ def radial_j0_integral(g, R: float, X: float, d: int = 1, *, epsrel: float = 1e-
 
     The range is split at X r^d = 1.  The near side is integrated with J_0
     itself.  On the far side t = r^d, and J_0(Xt) = Re(H(t) e^{iXt}) with
-    H(t) = hankel1e(0, Xt) smooth, so Re H and Im H go under the QAWO
-    cosine and sine weights at frequency X."""
+    H(t) = hankel1e(0, Xt) smooth, so G(t) Re H and G(t) Im H, G(t) =
+    g(t^{1/d}) t^{1/d-1}/d, go under the QAWO cosine and sine weights at
+    frequency X.  Both passes read one ``functools.cache`` of the two
+    products, so g and H run once per far-side node.  A float-valued g
+    makes each pass a single real QUADPACK pass (see ``quad_complex``)."""
     from scipy.special import hankel1e, j0
 
     rho = R if X * R**d <= 1.0 else X ** (-1.0 / d)
     total, err = quad_complex(lambda r: g(r) * j0(X * r**d), 0.0, rho, epsrel=epsrel)
     if rho < R:
-        G = lambda t: g(t ** (1.0 / d)) * t ** (1.0 / d - 1.0) / d
-        c, e1 = quad_complex(
-            lambda t: G(t) * hankel1e(0, X * t).real, rho**d, R**d, weight="cos", wvar=X, epsrel=epsrel
-        )
-        s, e2 = quad_complex(
-            lambda t: G(t) * hankel1e(0, X * t).imag, rho**d, R**d, weight="sin", wvar=X, epsrel=epsrel
-        )
+
+        @functools.cache
+        def node(t):
+            G, H = g(t ** (1.0 / d)) * t ** (1.0 / d - 1.0) / d, hankel1e(0, X * t)
+            return G * H.real, G * H.imag
+
+        c, e1 = quad_complex(lambda t: node(t)[0], rho**d, R**d, weight="cos", wvar=X, epsrel=epsrel)
+        s, e2 = quad_complex(lambda t: node(t)[1], rho**d, R**d, weight="sin", wvar=X, epsrel=epsrel)
         total += c - s
         err += e1 + e2
     return total, err

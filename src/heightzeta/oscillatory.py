@@ -12,13 +12,16 @@ level cached by the phase through which the inner coordinates see it.
 Archimedean integrals are adaptive quadrature: the domain is split at
 eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
 (t = |x|^-d for the inverse phase psi(a / x^d)) turns the phase into a
-linear one handled by QAWO/QAWF.  On the stationary
+linear one handled by QAWO.  The inverse phase's tail to t = inf is a
+fixed rule on the steepest-descent contour where 0 lies inside the
+support, and QAWF where an end of the support is 0.  On the stationary
 side [0, eps], for real s, QAWS takes x^{s-1} as an algebraic weight and
 integrates the endpoint singularity exactly.  On R^n the integral is one
 recursion over half-lines: every outer coordinate gets the same QAWS
 weight, and the innermost transform, which depends on the outer
 coordinates only through its frequency, is a Gauss-Legendre table built
-once per call and evaluated in numpy at each frequency.  At the
+once per call, with a Gauss-Jacobi panel at 0 for real s, and evaluated
+in numpy at each frequency.  At the
 complex place the test function is radial, so the angular integral is exact,
 int_0^{2 pi} e^{-iX cos(d theta + alpha)} dtheta = 2 pi J_0(X), and what
 remains is one radial integral against J_0(4 pi |a| r^d).
@@ -42,6 +45,7 @@ from .localfield import (
     Place,
     RadialBump,
     StepFunction,
+    _descent_rule,
     padic,
     quad_complex,
     quad_oscillatory,
@@ -54,7 +58,7 @@ CLASS_BUDGET = 4_000_000
 _EPSREL_1D = 1e-9  # relative tolerance of the 1-d archimedean quadratures
 # the Gauss-Legendre table of the innermost n-d coordinate: 20 nodes per
 # panel and the 14-node rule for its error, 16 2^k panels per half-line,
-# 60 geometric halvings of a first panel that starts at 0
+# and at complex s 60 geometric halvings of a first panel that starts at 0
 _TABLE_NODES = (20, 14)
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
 _TABLE_PANELS = 16
@@ -232,18 +236,25 @@ def _halflines(support) -> list[tuple[float, float, float]]:
     return [(sg, max(a, 0.0), b) for sg, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)) if b > 0.0]
 
 
-def _osc_halfline(g, r0: float, R: float, A: float, d: int, s: complex, epsrel: float):
-    """int_{r0}^R r^{s-1} e^{-2 pi i A r^d} g(r) dr  with the stationary
-    region [r0, max(r0, eps)], eps^d |A| = 1, integrated directly and the
-    oscillatory remainder integrated after t = r^d."""
+def _osc_halfline(phi: BumpFunction, sign: float, r0: float, R: float, A: float, d: int, s: complex, epsrel: float):
+    """int_{r0}^R r^{s-1} e^{-2 pi i A r^d} phi(sign r) dr  with the
+    stationary region [r0, max(r0, eps)], eps^d |A| = 1, integrated directly
+    and the oscillatory remainder integrated after t = r^d.  Each integrand
+    is one closure that calls phi once per node; at A = 0 it is real, so
+    QUADPACK makes one pass (see ``quad_complex``)."""
     eps = R if A == 0.0 else min(R, abs(A) ** (-1.0 / d))
     mid = max(r0, eps)
     total, err = 0j, 0.0
     if mid > r0:
-        total, err = _power_weighted(lambda r: cmath.exp(-2j * math.pi * A * r**d) * g(r), mid, s, r0, epsrel=epsrel)
+        if A == 0.0:
+            f = lambda r: phi(sign * r)
+        else:
+            k = -2j * math.pi * A
+            f = lambda r: cmath.exp(k * r**d) * phi(sign * r)
+        total, err = _power_weighted(f, mid, s, r0, epsrel=epsrel)
     if mid < R:
-        power = s.real / d - 1.0 if s.imag == 0.0 else s / d - 1.0
-        f = lambda t: (1.0 / d) * t**power * g(t ** (1.0 / d))
+        power, inv = s.real / d - 1.0 if s.imag == 0.0 else s / d - 1.0, 1.0 / d
+        f = lambda t: inv * t**power * phi(sign * t**inv)
         val, e2 = quad_oscillatory(f, mid**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)
         total += val
         err += e2
@@ -254,15 +265,21 @@ def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> Osc
     a = float(a)
     total, err = 0j, 0.0
     for sign, r0, R in _halflines(phi.support):
-        v, e = _osc_halfline(lambda r: phi(sign * r), r0, R, a * sign**d, d, s, epsrel)
+        v, e = _osc_halfline(phi, sign, r0, R, a * sign**d, d, s, epsrel)
         total, err = total + v, err + e
     return OscillatoryResult(total, exact=False, error=err)
 
 
 def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex) -> OscillatoryResult:
     # dz = 2 dA and |z|_C = r^2; the angular integral of
-    # e^{-4 pi i |a| r^d cos(d theta + alpha)} is 2 pi J_0(4 pi |a| r^d)
-    g = lambda r: 4.0 * math.pi * r ** (2.0 * s - 1.0) * phi.profile(r)
+    # e^{-4 pi i |a| r^d cos(d theta + alpha)} is 2 pi J_0(4 pi |a| r^d).
+    # For real s the radial integrand is real: the real part of the complex
+    # power r^(2s-1) keeps the bits it had in a complex integrand
+    w, profile = 2.0 * s - 1.0, phi.profile
+    if s.imag == 0.0:
+        g = lambda r: 4.0 * math.pi * (r**w).real * profile(r)
+    else:
+        g = lambda r: 4.0 * math.pi * r**w * profile(r)
     val, err = radial_j0_integral(g, phi.radius, 4.0 * math.pi * abs(complex(a)), d, epsrel=_EPSREL_1D)
     return OscillatoryResult(val, exact=False, error=err)
 
@@ -350,11 +367,15 @@ def _tabulated_transform(phi: BumpFunction, d: int, s: complex):
     """w -> (value, err) of  int |r|^{s-1} e^{-2 pi i w r^d} phi(r) dr  over
     the half-lines of phi's support, by a Gauss-Legendre table.  Each
     half-line is cut into n = 16 2^k panels uniform in r^d, n the least
-    with at most half a period of the phase per panel.  A half-line that
-    starts at 0 has its first panel cut geometrically towards eps = 2^-60
-    times its width, so that r^{s-1} is smooth on every panel, and [0, eps]
-    adds phi(0) eps^s / s.  The nodes t = r^d and the weights times
-    r^{s-1} phi(sign r) are tabulated once per n as cosine and sine
+    with at most half a period of the phase per panel.  For real s, the
+    first panel [0, e1] of a half-line that starts at 0 takes r^{s-1} as the
+    weight of a Gauss-Jacobi rule, ``roots_jacobi(m, 0, s - 1)`` in
+    r = e1 (1 + x)/2, built once per call.  For complex s, where that
+    weight would leave the oscillating r^{i Im s} in the integrand (as in
+    ``_power_weighted``), the panel is cut geometrically towards
+    eps = 2^-60 times its width, which keeps r^{s-1} smooth on every panel,
+    and [0, eps] adds phi(0) eps^s / s.  The nodes t = r^d and the weights
+    times r^{s-1} phi(sign r) are tabulated once per n as cosine and sine
     weights; two half-lines of the same range share their nodes, since
     sin(-x) = -sin(x), and a value is two numpy dots.  The error is the
     distance to the 14-node rule on the same panels plus
@@ -366,18 +387,26 @@ def _tabulated_transform(phi: BumpFunction, d: int, s: complex):
     Rd = max(R**d for _, _, R in halves)
     power = s.real - 1.0 if s.imag == 0.0 else s - 1.0
     rules = [_leggauss(m) for m in _TABLE_NODES]
+    if s.imag == 0.0:
+        from scipy.special import roots_jacobi
+
+        jacobi = [roots_jacobi(m, 0.0, power) for m in _TABLE_NODES]
     tables = {}
 
     def table(n: int):
         nodes, cos_w, sin_w, const, mass = {}, {}, {}, 0j, 0.0
         for sign, r0, R in halves:
             edges = (r0**d + (R**d - r0**d) * np.arange(n + 1) / n) ** (1.0 / d)
-            if r0 == 0.0:
+            if r0 == 0.0 and s.imag != 0.0:
                 edges = np.concatenate([edges[1] * 2.0 ** -np.arange(float(_TABLE_GRADING), 0.0, -1.0), edges[1:]])
                 const += phi(0.0) * edges[0] ** s / s
             lo, hi = edges[:-1, None], edges[1:, None]
             r = [((lo + hi) / 2 + (hi - lo) / 2 * x).ravel() for x, _ in rules]
-            w = [((hi - lo) / 2 * wq).ravel() * rq**power * phi.values(sign * rq) for (_, wq), rq in zip(rules, r)]
+            w = [((hi - lo) / 2 * wq).ravel() * rq**power for (_, wq), rq in zip(rules, r)]
+            if r0 == 0.0 and s.imag == 0.0:
+                for (x, wj), rq, wq in zip(jacobi, r, w):
+                    rq[: len(x)], wq[: len(x)] = edges[1] / 2 * (1.0 + x), (edges[1] / 2) ** s.real * wj
+            w = [wq * phi.values(sign * rq) for wq, rq in zip(w, r)]
             weights = np.zeros((2, len(r[0]) + len(r[1])), w[0].dtype)
             weights[0, : len(r[0])], weights[1, len(r[0]) :] = w
             nodes[r0, R] = np.concatenate(r) ** d
@@ -445,7 +474,7 @@ def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     for j in range(n - 1, 0, -1):
         mass_j = 0.0
         for sign, r0, R in halves[j]:
-            mass_j += _power_weighted(lambda y: complex(abs(phis[j](sign * y))), R, complex(s[j].real), r0)[0].real
+            mass_j += _power_weighted(lambda y: abs(phis[j](sign * y)), R, complex(s[j].real), r0)[0].real
         mass *= mass_j
         error += worst[j - 1] * mass
     return OscillatoryResult(value, exact=False, error=error)
@@ -504,10 +533,27 @@ def _inverse_real(phi: BumpFunction, a, d: int, s: complex) -> OscillatoryResult
     """Each half-line y in [r0, R] of phi's support, x = sign y, is split at
     y*^d = |A|, A = a sign^d, y* clamped to [r0, R].  On [y*, R] the phase
     stays within one turn; it is integrated in v = log y, which resolves
-    the feature at y*.  On [r0, y*], t = y^-d makes the phase linear for
-    QAWO (QAWF when r0 = 0), which works to an absolute tolerance only."""
+    the feature at y*.  On [r0, y*], t = y^-d makes the phase linear,
+    e^{-i omega t} with omega = 2 pi A, under
+    g(t) = t^{-s/d-1} phi(sign t^{-1/d}) / d:
+    - a support that misses 0 (r0 > 0) gives QAWO on [y*^-d, r0^-d];
+    - where 0 lies strictly inside the support, at distance e from its
+      nearer end, g is analytic in t off [0, e^-d].  QAWO takes
+      [T0, T1], T0 = y*^-d and T1 = max(T0, (2/e)^d), and [T1, inf) is
+      one dot with ``_descent_rule`` on the steepest-descent path
+      t = T1 - i sgn(omega) y/|omega|, where |sign t^{-1/d}| <= e/2 and phi
+      is ``BumpFunction.analytic``.  Its error is the distance to the
+      14-node rule plus 1e-15 (1 + |omega| T1) times the L1 mass of the
+      terms, for the rounding of the phase.  The path's frequency
+      |omega| T1 >= |omega| T0 = 2 pi max(1, |A| / R^d) is never below 1,
+      so it needs none of ``density._power_tail``'s split;
+    - where an end of the support is 0, phi has an essential singularity
+      at t = inf, and [T0, inf) stays with QAWF, which works to an
+      absolute tolerance only."""
     a = float(a)
     power = -s.real / d - 1.0 if s.imag == 0.0 else -s / d - 1.0
+    lo, hi = phi.support
+    edge = min(-lo, hi)  # > 0 where 0 lies strictly inside the support
     total, err = 0j, 0.0
     for sign, r0, R in _halflines(phi.support):
         A = a * sign**d
@@ -518,10 +564,37 @@ def _inverse_real(phi: BumpFunction, a, d: int, s: complex) -> OscillatoryResult
             total, err = total + val, err + e
         if ystar > r0:
             g = lambda t: (1.0 / d) * t**power * phi(sign * t ** (-1.0 / d))
-            top = math.inf if r0 == 0.0 else r0**-d
-            val, e = quad_oscillatory(g, ystar**-d, top, 2.0 * math.pi * A, epsabs=1e-14)
-            total, err = total + val, err + e
+            omega, T0 = 2.0 * math.pi * A, ystar**-d
+            if r0 > 0.0:
+                top = r0**-d
+            elif edge > 0.0:
+                top = max(T0, (2.0 / edge) ** d)
+            else:
+                top = math.inf
+            if top > T0:
+                val, e = quad_oscillatory(g, T0, top, omega, epsabs=1e-14)
+                total, err = total + val, err + e
+            if r0 == 0.0 and edge > 0.0:
+                val, e = _descent_tail(phi, sign, top, omega, d, power)
+                total, err = total + val, err + e
     return OscillatoryResult(total, exact=False, error=err)
+
+
+def _descent_tail(phi: BumpFunction, sign: float, T: float, omega: float, d: int, power) -> tuple[complex, float]:
+    """int_T^inf t^power phi(sign t^{-1/d}) e^{-i omega t} dt / d on the
+    path t = T - i sgn(omega) y/|omega|, y >= 0, where e^{-i omega t} is
+    e^{-i omega T} e^{-y}; (value, err) as in ``_inverse_real``."""
+    step = -1j * math.copysign(1.0, omega) / abs(omega)
+
+    def terms(m: int) -> np.ndarray:
+        y, w = _descent_rule(m)
+        t = T + step * y
+        return w * (1.0 / d) * t**power * phi.analytic(sign * t ** (-1.0 / d))
+
+    fine, coarse = terms(20), terms(14)
+    total, mass = complex(fine.sum()), float(np.abs(fine).sum())
+    value = step * cmath.exp(-1j * omega * T) * total
+    return value, abs(step) * (abs(total - complex(coarse.sum())) + 1e-15 * (1.0 + abs(omega) * T) * mass)
 
 
 def inverse_phase_integral(place: Place, phi, a, d: int, s) -> OscillatoryResult:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from heightzeta.localfield import (
     prime_factors,
     primes_upto,
     psi,
+    quad_complex,
     residue_c,
     tate_integral,
     zeta_local,
@@ -48,6 +50,29 @@ def test_is_prime_matches_sieve():
     assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (10**9 + 7))
     # ten digits more than trial division can reach in a test
     assert Place.parse("1000000000000000003") == Place.finite(10**18 + 3)
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # Baillie-PSW above 3.3e24, where trial division would take minutes.
+    # 2^p - 1 for a prime p is a strong pseudoprime to base 2 when it is
+    # composite, so 2^101 - 1, 2^103 - 1 and 2^109 - 1 pass Miller-Rabin
+    # and fall to the strong Lucas test
+    t0 = time.perf_counter()
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+    assert is_prime(2**89 - 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert [k for k in (89, 101, 103, 107, 109, 127) if is_prime(2**k - 1)] == [89, 107, 127]
+    assert not is_prime((2**89 - 1) ** 2) and not is_prime(localfield._MR_BOUND)
+
+
+def test_strong_lucas_against_the_sieve():
+    # of the odd n below 1e5 with no factor in the Miller-Rabin bases, the
+    # strong Lucas test passes the primes and exactly the strong Lucas
+    # pseudoprimes (OEIS A217255)
+    primes = set(primes_upto(10**5))
+    passed = [n for n in range(43, 10**5, 2) if all(n % p for p in localfield._MR_BASES) and localfield._strong_lucas(n)]
+    assert sorted(set(passed) - primes) == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    assert primes - set(passed) == {p for p in primes if p <= 41}
 
 
 def test_prime_array_is_a_read_only_prefix(monkeypatch):
@@ -203,6 +228,71 @@ def test_bump_values_match_scalar():
         want = np.array([bump(float(x)) for x in xs])
         assert np.all(np.abs(bump.values(xs) - want) <= 2 * np.spacing(want))
         assert want[-1] == amp and want[-5:-1].max() == 0.0
+
+
+def test_bump_analytic_off_the_real_line():
+    # the unmasked formula is the bump inside its support, and at complex z
+    # its analytic continuation: a Cauchy integral over a circle about z
+    # gives its value back
+    bump = BumpFunction.standard(0.3, 1.5, 2.0)
+    xs = np.linspace(-1.1, 1.7, 29)
+    assert np.array_equal(bump.analytic(xs), bump.values(xs))
+    z0, rho = 0.2 + 0.3j, 0.25
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    ring = z0 + rho * np.exp(1j * theta)
+    assert abs(np.mean(bump.analytic(ring)) - bump.analytic(z0)) < 1e-14
+
+
+def _two_pass_quad_complex(f, a, b, *, points=None, weight=None, wvar=None, epsabs=1e-12, epsrel=1e-10, limit=400):
+    """quad_complex without its node table: a real and an imaginary
+    QUADPACK pass that each evaluate f afresh."""
+    from scipy.integrate import quad
+
+    kwargs = dict(epsabs=epsabs, epsrel=epsrel, full_output=1)
+    if weight is None:
+        kwargs.update(points=points, limit=limit)
+    else:
+        kwargs.update(weight=weight, wvar=wvar)
+        if not math.isinf(b):
+            kwargs["limit"] = limit
+    re, e1 = quad(lambda t: complex(f(t)).real, a, b, **kwargs)[:2]
+    im, e2 = quad(lambda t: complex(f(t)).imag, a, b, **kwargs)[:2]
+    return complex(re, im), e1 + e2
+
+
+def test_quad_complex_keeps_the_two_pass_bits():
+    # the node table changes no bit of a value or an error estimate, with no
+    # weight, the algebraic weight and the Fourier weights (QAWO and QAWF),
+    # and a complex integrand runs once per node.  A float integrand takes
+    # the real pass alone, with the bits of both passes
+    nodes = []
+
+    def wave(t):
+        nodes.append(t)
+        return cmath.exp(3j * t) / (1.0 + t * t)
+
+    def tail(t):
+        nodes.append(t)
+        return cmath.exp(1j / t) / t**1.5
+
+    cases = [
+        (wave, 0.0, 3.0, {}),
+        (wave, 0.0, 3.0, dict(points=[1.0], epsrel=1e-12)),
+        (wave, 0.0, 1.0, dict(weight="alg", wvar=(-0.5, 0.0))),
+        (wave, 0.0, 2.0, dict(weight="cos", wvar=7.0)),
+        (wave, 0.5, 40.0, dict(weight="sin", wvar=7.0, epsabs=1e-14)),
+        (tail, 1.0, math.inf, dict(weight="cos", wvar=5.0)),
+        (tail, 1.0, math.inf, dict(weight="sin", wvar=5.0, epsabs=1e-14)),
+    ]
+    for f, a, b, kw in cases:
+        nodes.clear()
+        got = quad_complex(f, a, b, **kw)
+        assert nodes and len(nodes) == len(set(nodes)), (a, b, kw)
+        assert tuple(map(repr, got)) == tuple(map(repr, _two_pass_quad_complex(f, a, b, **kw))), (a, b, kw)
+    real = lambda t: math.exp(-t) * math.cos(3.0 * t)
+    for kw in ({}, dict(weight="alg", wvar=(-0.5, 0.0)), dict(weight="sin", wvar=7.0)):
+        got = quad_complex(real, 0.0, 2.0, **kw)
+        assert tuple(map(repr, got)) == tuple(map(repr, _two_pass_quad_complex(real, 0.0, 2.0, **kw))), kw
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from heightzeta.localfield import (
     padic,
     psi,
     quad_complex,
+    quad_oscillatory,
     tate_integral,
 )
 from heightzeta import oscillatory
@@ -315,6 +316,51 @@ def test_osc1d_real_support_away_from_zero(a, d, s):
     dev = abs(got.value - ref)
     assert dev <= max(1e-9 * abs(ref), 1e-15), (got, ref)
     assert got.error >= dev
+
+
+@pytest.mark.parametrize("a", [0.5, 30.0, 1000.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_each_piece_evaluates_the_bump_once_per_node(monkeypatch, a, d):
+    # within one osc_integral_1d call, each QUADPACK piece (a quad_complex or
+    # quad_oscillatory call) evaluates the bump once per distinct node of
+    # its integrand, for both the real and the complex integrands
+    bump = _RecordedBump.standard(0.3, 1.5)
+    pieces = []
+
+    def piece(fn):
+        def run(f, *args, **kwargs):
+            nodes, bump.calls = set(), []
+            out = fn(lambda t: nodes.add(t) or f(t), *args, **kwargs)
+            pieces.append((len(bump.calls), len(nodes)))
+            return out
+
+        return run
+
+    monkeypatch.setattr(oscillatory, "quad_complex", piece(oscillatory.quad_complex))
+    monkeypatch.setattr(oscillatory, "quad_oscillatory", piece(oscillatory.quad_oscillatory))
+    for s in (0.8, 1.2 - 0.3j):
+        pieces.clear()
+        osc_integral_1d(R, bump, a, d, s)
+        assert len(pieces) >= 2 and all(calls == nodes > 0 for calls, nodes in pieces), (s, pieces)
+
+
+def test_complex_place_runs_hankel_once_per_far_node(monkeypatch):
+    # the cosine and sine passes of the far side read one table of the
+    # Hankel function: one call per distinct node of the two passes
+    import scipy.special
+
+    from heightzeta import localfield
+
+    calls, nodes = [], set()
+    hankel1e, quad = scipy.special.hankel1e, localfield.quad_complex
+    monkeypatch.setattr(scipy.special, "hankel1e", lambda v, z: calls.append(z) or hankel1e(v, z))
+    far = lambda f, a, b, **kw: quad(lambda t: nodes.add(t) or f(t), a, b, **kw) if kw.get("weight") else quad(f, a, b, **kw)
+    monkeypatch.setattr(localfield, "quad_complex", far)
+    for a, d, s in ((1000.0, 2, 0.7), (100.0, 1, 0.6 + 0.3j)):
+        calls.clear()
+        nodes.clear()
+        osc_integral_1d(Place.complex_(), RadialBump(BumpFunction.standard()), a, d, s)
+        assert calls and len(calls) == len(nodes), (a, d, s)
 
 
 def _four_pass_quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
@@ -665,6 +711,106 @@ def test_inverse_real_centred_bump(a, s, ref):
     got = inverse_phase_integral(R, BumpFunction.standard(), a, 1, s)
     assert abs(got.value - ref) < (1e-12 if a < 1e-3 else 1e-10) * abs(ref)
     assert got.error < 1e-9
+
+
+def _bump_continued(x, c: float, rad: float):
+    """The standard bump on (c - rad, c + rad) at real x, and its analytic
+    continuation at complex x."""
+    u = (x - c) / rad
+    if np.iscomplexobj(u):
+        return np.exp(1.0 - 1.0 / (1.0 - u * u))
+    return _bump_profile(x, c, rad)
+
+
+def _inverse_reference(c: float, rad: float, a: float, d: int, s, nodes: int = 24, per: float = 0.5) -> complex:
+    """int_R |x|^{s-1} e^{-2 pi i a / x^d} phi(x) dx for the standard bump on
+    (c - rad, c + rad) with 0 inside, at distance e from its nearer end.
+    Per half-line, in t = |x|^-d: Gauss-Legendre panels of at most ``per``
+    radians of the phase on [R^-d, T], T = (1.5 / e)^d, and beyond T the
+    ray t = T - i sgn(omega) tau, graded towards tau = 0, where |x| <= 2e/3."""
+    s = complex(s)
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    rule = lambda edges: (((edges[:-1] + edges[1:]) / 2)[:, None] + ((edges[1:] - edges[:-1]) / 2)[:, None] * x, ((edges[1:] - edges[:-1]) / 2)[:, None] * wq)
+    T = (1.5 / min(rad - c, rad + c)) ** d
+    parts = []
+    for sign, R in ((1.0, c + rad), (-1.0, rad - c)):
+        omega = 2.0 * np.pi * a * sign**d
+        g = lambda t: t ** (-s / d - 1.0) / d * _bump_continued(sign * t ** (-1.0 / d), c, rad)
+        t, w = rule(np.linspace(R**-d, T, int(abs(omega) * (T - R**-d) / per) + int(100 / per) + 1))
+        parts.append(np.sum(w * g(t) * np.exp(-1j * omega * t)))
+        L = 60.0 / abs(omega)
+        tau, w = rule(np.unique(np.concatenate([[0.0], L * 2.0 ** -np.arange(45.0, -1.0, -1.0), np.linspace(0.0, L, int(32 / per) + 1)])))
+        sg = math.copysign(1.0, omega)
+        parts.append(-1j * sg * np.exp(-1j * omega * T) * np.sum(w * g(T - 1j * sg * tau) * np.exp(-abs(omega) * tau)))
+    return complex(sum(parts))
+
+
+def test_inverse_reference_rule():
+    # the in-test rule against mpmath, which takes [R^-d, T'] in panels of 3
+    # radians and the ray from T' = (2.5 / e)^d, at 30 digits
+    for c, rad, a, d, s in ((0.0, 1.0, 4.9, 1, -0.9), (0.3, 1.5, 3.0, 2, 0.3), (-0.2, 0.8, -7.0, 1, 2.0)):
+
+        def bump(x):
+            u = (x - c) / rad
+            return mpmath.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else 0
+
+        with mpmath.workdps(30):
+            T, ref = (mpmath.mpf(2.5) / min(rad - c, rad + c)) ** d, 0
+            for sign, R in ((1, c + rad), (-1, rad - c)):
+                omega = 2 * mpmath.pi * a * sign**d
+                g = lambda t: t ** (-mpmath.mpf(s) / d - 1) / d * bump(sign * t ** (-mpmath.mpf(1) / d))
+                t0, sg = mpmath.mpf(R) ** -d, mpmath.sign(omega)
+                ref += mpmath.quad(lambda t: g(t) * mpmath.expj(-omega * t), mpmath.linspace(t0, T, int(abs(omega) * (T - t0) / 3) + 2))
+                ref += mpmath.quad(lambda tau: -1j * sg * g(T - 1j * sg * tau) * mpmath.expj(-omega * (T - 1j * sg * tau)), [0, 1, mpmath.inf])
+            ref = complex(ref)
+        assert abs(_inverse_reference(c, rad, a, d, s) - ref) < 3e-14 * abs(ref), (c, rad, a, d, s)
+
+
+def test_inverse_real_within_its_error():
+    # the inverse phase where 0 lies inside the support, QAWO and the
+    # steepest-descent tail, holds its error estimate against the in-test
+    # rule, which agrees with itself at a coarser resolution to a tenth of
+    # that estimate.  The grid reaches Re s near -1, where QAWF's tail
+    # under-reported
+    for (c, rad), d, s, a in itertools.product(((0.0, 1.0), (0.3, 1.5), (-0.2, 0.8)), (1, 2, 3), (-0.9, -0.5, 0.3, 1.0, 2.0), (1e-8, 0.4, 3.0, 4.9, 30.0, -7.0)):
+        got = inverse_phase_integral(R, BumpFunction.standard(c, rad), a, d, s)
+        ref = _inverse_reference(c, rad, a, d, s)
+        assert abs(ref - _inverse_reference(c, rad, a, d, s, 20, 0.7)) <= 0.1 * got.error, (c, rad, d, s, a)
+        assert abs(got.value - ref) <= got.error, (c, rad, d, s, a, got, ref)
+
+
+def _qawf_inverse(phi, a: float, d: int, s) -> tuple[complex, float]:
+    """The inverse phase as QUADPACK alone takes it: per half-line, v = log y
+    on [y*, R] and QAWO, or QAWF where r0 = 0, on [y*^-d, r0^-d]."""
+    s = complex(s)
+    power = -s.real / d - 1.0 if s.imag == 0.0 else -s / d - 1.0
+    total, err = 0j, 0.0
+    for sign, r0, R in oscillatory._halflines(phi.support):
+        A = a * sign**d
+        ystar = min(max(abs(A) ** (1.0 / d), r0), R)
+        if ystar < R:
+            f = lambda v: cmath.exp(s * v - 2j * math.pi * A * math.exp(-d * v)) * phi(sign * math.exp(v))
+            val, e = quad_complex(f, math.log(ystar), math.log(R), epsabs=1e-14)
+            total, err = total + val, err + e
+        if ystar > r0:
+            g = lambda t: (1.0 / d) * t**power * phi(sign * t ** (-1.0 / d))
+            val, e = quad_oscillatory(g, ystar**-d, math.inf if r0 == 0.0 else r0**-d, 2.0 * math.pi * A, epsabs=1e-14)
+            total, err = total + val, err + e
+    return total, err
+
+
+def test_inverse_real_end_at_zero_keeps_qawf(monkeypatch):
+    # a support with an end at 0 has the bump's essential singularity at
+    # t = inf, so its tail stays with QAWF, with the bits of QUADPACK alone;
+    # so does a support that misses 0, with QAWO
+    tops = []
+    monkeypatch.setattr(oscillatory, "quad_oscillatory", lambda f, a, b, *args, **kw: tops.append(b) or quad_oscillatory(f, a, b, *args, **kw))
+    for (c, rad), d, s, a in itertools.product(((1.0, 1.0), (-1.0, 1.0), (1.5, 1.0)), (1, 2), (-0.5, 1.0, 0.75 + 0.5j), (0.4, 4.9, -7.0)):
+        tops.clear()
+        phi = BumpFunction.standard(c, rad)
+        got = inverse_phase_integral(R, phi, a, d, s)
+        assert (repr(got.value), repr(got.error)) == tuple(map(repr, _qawf_inverse(phi, a, d, s))), (c, rad, d, s, a)
+        assert tops == [math.inf] if c != 1.5 else not any(map(math.isinf, tops)), (c, rad, d, s, a, tops)
 
 
 @pytest.mark.parametrize(
