@@ -545,12 +545,14 @@ class BumpFunction:
         return self.amplitude * math.exp(1.0 - 1.0 / w)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """The bump at every point of ``x``, as __call__ but in numpy."""
-        lo, hi = self.support
-        inside = (x > lo) & (x < hi) & (np.abs(x - self.center) < self.radius)
-        out = np.zeros(np.shape(x))
-        out[inside] = self.analytic(x[inside])
-        return out
+        """The bump at every point of ``x``, as __call__ but in numpy: the
+        bits of ``analytic`` where 1 - u^2 > 0, u = (x - center)/radius,
+        and 0 elsewhere; the support test of __call__ differs from that
+        only at points whose value underflows to 0."""
+        u = x - self.center
+        q = 1.0 - (u * u) / (self.radius * self.radius)
+        inside = q > 0.0
+        return np.where(inside, self.amplitude * np.exp(1.0 - 1.0 / np.where(inside, q, 1.0)), 0.0)
 
     def analytic(self, z):
         """amplitude * exp(1 - 1/(1 - u^2)) at real or complex z, a number
@@ -626,6 +628,188 @@ def quad_oscillatory(f, a, b, omega, *, epsabs=1e-12, epsrel=1e-10, limit=400):
     return complex(c.real + s.imag, c.imag - s.real), e1 + e2
 
 
+_FILON_TOL = 1e-13  # of a panel's last two Legendre coefficients, against the mean of |g|
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1]: numpy's nodes after one
+    Newton step, and w = 2 / ((1 - x^2) P_n'(x)^2), both in numpy's
+    longdouble (x87 extended precision on x86).  At n = 20 and 80 they
+    are within an ulp of 40-digit values; numpy's and scipy's weights are
+    up to 1e-12 off at n = 80."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for step in range(2):
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        if step == 0:
+            x = x - p1 / dp
+    return x.astype(float), (2 / ((1 - x * x) * dp * dp)).astype(float)
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 20 Gauss-Legendre nodes x and weights w on [-1, 1], and the
+    matrix M that takes values at x to Legendre coefficients, c = v @ M,
+    exact for polynomials of degree < 20.  M is the inverse of the
+    transposed Vandermonde matrix P_k(x_j), which takes a constant to
+    c_k = 0, k > 0, within 5e-16; (k + 1/2) w_j P_k(x_j) leaves 1.6e-14."""
+    x, w = _gauss_legendre(20)
+    return x, w, np.linalg.inv(np.polynomial.legendre.legvander(x, 19)).T
+
+
+@functools.cache
+def _moment_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of ``_legendre_moments``: the 40 positive nodes X of the
+    80-node Gauss-Legendre rule with twice their weights times P_k(X),
+    k < 20, and the coefficients (k + m)! / (m! (k - m)!) of the terminating
+    Hankel expansion."""
+    x, w = _gauss_legendre(80)
+    k = np.arange(20)
+    hankel = np.array([[math.comb(i + m, m) * math.perm(i, m) if m <= i else 0 for m in k] for i in k], float)
+    return x[40:], np.polynomial.legendre.legvander(x[40:], 19) * 2.0 * w[40:, None], hankel.T
+
+
+def _legendre_moments(kappa: np.ndarray) -> np.ndarray:
+    """mu_k(kappa) = int_{-1}^{1} P_k(x) e^{-i kappa x} dx = 2 (-i)^k j_k(kappa)
+    for k < 20, one row per kappa >= 0, within 1.1e-15.  Up to kappa = 60,
+    the 80-node Gauss-Legendre rule, where e^{-i kappa x} is a polynomial
+    of degree 140 to 1e-34: the cosine part for even k, the sine part for
+    odd k.  Above it, k + 1 integrations by parts, which end since P_k is
+    a polynomial: with z = i/kappa, Q_k = e^{i kappa} sum_m
+    (k + m)!/(m! (k - m)!) (z/2)^m and mu_k = z (conj(Q_k) - (-1)^k Q_k);
+    the terms of that sum reach at most 6 times its value there."""
+    X, V, hankel = _moment_rule()
+    odd = np.arange(20) % 2 == 1
+    mu = np.empty((kappa.size, 20), complex)
+    small = kappa <= 60.0
+    if small.any():
+        phase = kappa[small, None] * X
+        mu[small] = np.where(odd, -1j * (np.sin(phase) @ V), np.cos(phase) @ V)
+    if not small.all():
+        x = kappa[~small, None]
+        Q = np.exp(1j * x) * (np.cumprod(np.broadcast_to(0.5j / x, (x.size, 20)), axis=1) / (0.5j / x)) @ hankel
+        mu[~small] = 1j / x * np.where(odd, Q.conj() + Q, Q.conj() - Q)
+    return mu
+
+
+def _filon(g, edges, omega) -> tuple[np.ndarray, np.ndarray]:
+    """int g(t) e^{-i omega t} dt over [edges[0], edges[-1]] for a numpy g
+    that takes an array of t and returns m rows of values along it (a
+    single row may be a 1-d array), omega one frequency or one per row;
+    returns (value, err), each of shape (m,).
+
+    A Filon-type rule (Iserles & Norsett 2005).  Each panel [c - h, c + h],
+    starting from the panels between ``edges``, takes g at the 20
+    Gauss-Legendre nodes, all panels of a round in one call of g, and its
+    Legendre coefficients c_k by one 20x20 matrix.  A panel is bisected
+    while the tail |c_18| + |c_19| of a row is above both _FILON_TOL times
+    the mean of |g| over the range and 2^-46 times its largest |g|, the
+    rounding of the coefficients, at most 40 times; so the panels do not
+    depend on omega.  Each panel adds h e^{-i omega c} sum_k c_k
+    mu_k(omega h) (``_legendre_moments``, ``_phase``), exact for g of
+    degree < 20 at every frequency.  The error is h times, over the panels,
+    the tail times max_k |mu_k|, plus 2^-49 |sum_k c_k mu_k| for the rounding
+    of the sum and the phase, plus 2^-47 min(1, 60/kappa) sum_k |c_k| for
+    that of the moments."""
+    x, w, M = _legendre_rule()
+    c, h = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    parts, tol = [], None
+    for depth in range(41):
+        vals = g((h[:, None] * x + c[:, None]).ravel()).reshape(-1, c.size, 20)
+        coef, size = vals @ M, np.abs(vals)
+        if tol is None:
+            tol = _FILON_TOL * float((size @ w @ h).sum()) / (edges[-1] - edges[0])
+        tail = np.abs(coef[..., 18:]).sum(axis=-1)
+        split = (tail > np.maximum(2.0**-46 * size.max(axis=-1), tol)).any(axis=0)
+        if depth == 40 or not split.any():
+            parts.append((c, h, coef, tail))
+            break
+        keep = ~split
+        parts.append((c[keep], h[keep], coef[:, keep], tail[:, keep]))
+        c, h = c[split], h[split] / 2
+        c, h = np.concatenate([c - h, c + h]), np.concatenate([h, h])
+    if len(parts) > 1:
+        c, h, coef, tail = (np.concatenate(part, axis=-1 if i < 2 else 1) for i, part in enumerate(zip(*parts)))
+    omega = np.reshape(omega, (-1, 1))
+    if not omega.any():
+        sums = 2.0 * coef[..., 0]
+        return sums @ h, (2.0 * tail + 2.0**-49 * np.abs(sums)) @ h
+    kappa = np.abs(omega) * h
+    mu = _legendre_moments(kappa.ravel()).reshape(kappa.shape + (20,))
+    sums = (coef * np.where(omega[..., None] < 0.0, mu.conj(), mu)).sum(axis=-1)
+    rounding = 2.0**-49 * np.abs(sums) + 2.0**-47 * np.minimum(1.0, 60.0 / kappa) * np.abs(coef).sum(axis=-1)
+    return (sums * _phase(omega, c)) @ h, (tail * np.abs(mu).max(axis=-1) + rounding) @ h
+
+
+def _stationary_panel(f, e1: float, s: complex):
+    """int_0^{e1} r^{s-1} f(r) dr for a numpy f analytic on [0, e1], which
+    may return rows of values as ``_filon``'s g; returns (value, err, e1),
+    value and err one per row, e1 halved while the last two Legendre
+    coefficients of f on [0, e1] sum to more than _FILON_TOL times max |f|
+    on some row, at most 40 times.  The rule is interpolatory on the 20
+    nodes of ``_legendre_rule`` mapped to [0, 1]: its weights are M times
+    the moments
+    int_0^1 u^{s-1} P_k(2u - 1) du = prod_{i=1}^{k} (s - i)/(s + i) / s,
+    k < 20, which hold for complex s as well.  At s = 0.3 it is within
+    4e-16 of a 40-digit value, as the Gauss-Jacobi rule is.  The error is
+    the tail times the largest moment plus 2^-50 of the L1 mass of the
+    terms, both times |e1^s|."""
+    x, _, M = _legendre_rule()
+    s = s.real if s.imag == 0.0 else s
+    moments = [1.0 / s]
+    for k in range(1, 20):
+        moments.append(moments[-1] * (s - k) / (s + k))
+    weights = M @ moments
+    for _ in range(40):
+        values = f((x + 1.0) * (0.5 * e1))
+        tail = np.abs(values @ M[:, 18:]).sum(axis=-1)
+        if (tail <= _FILON_TOL * np.abs(values).max()).all():
+            break
+        e1 /= 2.0
+    terms, scale = values * weights, e1**s
+    err = abs(scale) * (tail * max(map(abs, moments)) + 2.0**-50 * np.abs(terms).sum(axis=-1))
+    return terms.sum(axis=-1) * scale, err, e1
+
+
+# eight equal panels on [0, 1], the last halved six times towards 1, and
+# with the first halved the same way towards 0
+_TO_END = np.concatenate([[0.0], np.arange(1.0, 8.0) / 8.0, 1.0 - 2.0 ** np.arange(-4.0, -10.0, -1.0), [1.0]])
+_TO_BOTH_ENDS = np.concatenate([[0.0], 2.0 ** np.arange(-9.0, -3.0), _TO_END[1:]])
+
+
+def _filon_edges(lo_ratio: float, power_at_zero: bool) -> np.ndarray:
+    """The first panels of ``_filon`` on a range [lo, hi] scaled to [0, 1],
+    hi the end of a bump's support: eight equal panels, the last one
+    halved six times towards 1, where the bump's essential singularity is.
+    The first is halved the same way towards 0, another end of the
+    support, or, for an integrand with a power of t, singular at 0 < lo,
+    cut at lo_ratio (2^{k/2} - 1), lo_ratio = lo / (hi - lo), while that is
+    below 1/8."""
+    if not power_at_zero:
+        return _TO_BOTH_ENDS
+    if lo_ratio * (2.0**0.5 - 1.0) > 0.125:
+        return _TO_END
+    head = lo_ratio * (2.0 ** np.arange(0.0, math.log2(1.0 + 0.125 / lo_ratio), 0.5) - 1.0)
+    return np.concatenate([head, _TO_END[1:]])
+
+
+def _phase(omega: float, t: np.ndarray) -> np.ndarray:
+    """e^{-i omega t} with omega t rounded once less: the product is split
+    exactly, p + e = omega t (Dekker), and the phase is e^{-ip} (1 - ie).
+    Rounded, omega t would be off by up to 2^-53 |omega t|, which at
+    |omega t| = 6e3 is 7e-13 of each panel's contribution."""
+    split = 134217729.0  # 2^27 + 1
+    hi = omega * split
+    hi -= hi - omega
+    t_hi = t * split
+    t_hi -= t_hi - t
+    p = omega * t
+    e = ((hi * t_hi - p) + hi * (t - t_hi) + (omega - hi) * t_hi) + (omega - hi) * (t - t_hi)
+    return np.exp(-1j * p) * (1.0 - 1j * e)
+
+
 @functools.cache
 def _descent_rule(m: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Nodes y and weights times e^{-y} for int_0^inf g(y) e^{-y} dy: m-point
@@ -639,31 +823,40 @@ def _descent_rule(m: int = 20) -> tuple[np.ndarray, np.ndarray]:
     return y, ((hi - lo) / 2 * wq).ravel() * np.exp(-y)
 
 
-def radial_j0_integral(g, R: float, X: float, d: int = 1, *, epsrel: float = 1e-10):
-    """int_0^R g(r) J_0(X r^d) dr for X >= 0; returns (value, err).
+def radial_j0_integral(f, w, R: float, X: float, d: int = 1):
+    """int_0^R r^w f(r) J_0(X r^d) dr for X >= 0, Re w > -1 and a numpy f,
+    real or complex, analytic on [0, R) and vanishing at R to all orders;
+    returns (value, err).
 
-    The range is split at X r^d = 1.  The near side is integrated with J_0
-    itself.  On the far side t = r^d, and J_0(Xt) = Re(H(t) e^{iXt}) with
-    H(t) = hankel1e(0, Xt) smooth, so G(t) Re H and G(t) Im H, G(t) =
-    g(t^{1/d}) t^{1/d-1}/d, go under the QAWO cosine and sine weights at
-    frequency X.  Both passes read one ``functools.cache`` of the two
-    products, so g and H run once per far-side node.  A float-valued g
-    makes each pass a single real QUADPACK pass (see ``quad_complex``)."""
+    The range is split at rho, X rho^d = 1, below which J_0(X r^d) does
+    not oscillate: [0, e1],
+    e1 = min(rho, R/4), is ``_stationary_panel`` on f J_0 with the weight
+    r^w, and [e1, rho] is ``_filon`` at omega = 0 on r^w f J_0.  On the far
+    side t = r^d, and J_0(Xt) = Re(H(t) e^{iXt}) with H(t) = hankel1e(0, Xt)
+    smooth, so with G(t) = t^{(w+1)/d-1} f(t^{1/d}) / d it is ``_filon`` at
+    omega = -X: the real part of its integral of G H for real G, and for
+    complex G half the integral of G H plus half the conjugate of that of
+    conj(G) H.  Each round of panels calls f and H once, on all its nodes."""
     from scipy.special import hankel1e, j0
 
     rho = R if X * R**d <= 1.0 else X ** (-1.0 / d)
-    total, err = quad_complex(lambda r: g(r) * j0(X * r**d), 0.0, rho, epsrel=epsrel)
+    near = lambda r: f(r) * j0(X * r**d)
+    total, err, e1 = _stationary_panel(near, min(rho, 0.25 * R), w + 1.0)
+    total, err = complex(total), float(err)
+    if e1 < rho:
+        v, e = _filon(lambda r: r**w * near(r), e1 + (rho - e1) * _filon_edges(e1 / (rho - e1), True), 0.0)
+        total, err = total + complex(v[0]), err + float(e[0])
     if rho < R:
+        power = (w + 1.0) / d - 1.0
 
-        @functools.cache
-        def node(t):
-            G, H = g(t ** (1.0 / d)) * t ** (1.0 / d - 1.0) / d, hankel1e(0, X * t)
-            return G * H.real, G * H.imag
+        def far(t):
+            G, H = t**power * f(t ** (1.0 / d)) / d, hankel1e(0, X * t)
+            return G * H if np.isrealobj(G) else np.stack([G * H, G.conj() * H])
 
-        c, e1 = quad_complex(lambda t: node(t)[0], rho**d, R**d, weight="cos", wvar=X, epsrel=epsrel)
-        s, e2 = quad_complex(lambda t: node(t)[1], rho**d, R**d, weight="sin", wvar=X, epsrel=epsrel)
-        total += c - s
-        err += e1 + e2
+        lo, hi = rho**d, R**d
+        v, e = _filon(far, lo + (hi - lo) * _filon_edges(lo / (hi - lo), True), -X)
+        total += v[0].real if v.size == 1 else (v[0] + v[1].conjugate()) / 2
+        err += float(e.mean())
     return total, err
 
 

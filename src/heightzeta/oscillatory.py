@@ -9,22 +9,26 @@ stop at residue depth ~ log_p|a|/2 instead of log_p|a|.  On Z_p^n the
 integral is the same recursion over coordinates as on R^n below, each
 level cached by the phase through which the inner coordinates see it.
 
-Archimedean integrals are adaptive quadrature: the domain is split at
-eps = |a|^{-1/d}, and on the oscillatory side the substitution t = x^d
-(t = |x|^-d for the inverse phase psi(a / x^d)) turns the phase into a
-linear one handled by QAWO.  The inverse phase's tail to t = inf is a
-fixed rule on the steepest-descent contour where 0 lies inside the
-support, and QAWF where an end of the support is 0.  On the stationary
-side [0, eps], for real s, QAWS takes x^{s-1} as an algebraic weight and
-integrates the endpoint singularity exactly.  On R^n the integral is one
-recursion over half-lines: every outer coordinate gets the same QAWS
-weight, and the innermost transform, which depends on the outer
+Archimedean integrals.  On R each half-line of the support is split at
+e1 = min(eps/2, R/4), eps = |a|^{-1/d}: the stationary panel [0, e1]
+takes an interpolatory rule whose weights integrate x^{s-1} exactly, and
+the rest, after t = x^d, which makes the phase linear, goes to a
+Filon-type kernel, ``localfield._filon``: Legendre coefficients on
+adaptive panels against the exact moments of e^{-i omega t}, so neither
+the panels nor the cost grow with |a|, and every node of a round is one
+numpy call.  The inverse phase psi(a / x^d), after t = |x|^-d, stays with
+QUADPACK's QAWO; its tail to t = inf is a fixed rule on the
+steepest-descent contour where 0 lies inside the support, and QAWF where
+an end of the support is 0.  On R^n the integral is one recursion over
+half-lines: every outer coordinate gets QUADPACK's algebraic weight
+(QAWS), and the innermost transform, which depends on the outer
 coordinates only through its frequency, is a Gauss-Legendre table built
 once per call, with a Gauss-Jacobi panel at 0 for real s, and evaluated
-in numpy at each frequency.  At the
-complex place the test function is radial, so the angular integral is exact,
+in numpy at each frequency.  At the complex place the test function is
+radial, so the angular integral is exact,
 int_0^{2 pi} e^{-iX cos(d theta + alpha)} dtheta = 2 pi J_0(X), and what
-remains is one radial integral against J_0(4 pi |a| r^d).
+remains is one radial integral against J_0(4 pi |a| r^d), by the same
+stationary panel and kernel (``localfield.radial_j0_integral``).
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ from .localfield import (
     RadialBump,
     StepFunction,
     _descent_rule,
+    _filon,
+    _filon_edges,
+    _phase,
+    _stationary_panel,
     padic,
     quad_complex,
     quad_oscillatory,
@@ -55,7 +63,6 @@ from .localfield import (
 
 DEFAULT_MAX_LEVEL = 12  # residue refinement ceiling: at most ~p^12 classes
 CLASS_BUDGET = 4_000_000
-_EPSREL_1D = 1e-9  # relative tolerance of the 1-d archimedean quadratures
 # the Gauss-Legendre table of the innermost n-d coordinate: 20 nodes per
 # panel and the 14-node rule for its error, 16 2^k panels per half-line,
 # and at complex s 60 geometric halvings of a first panel that starts at 0
@@ -63,8 +70,9 @@ _TABLE_NODES = (20, 14)
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)
 _TABLE_PANELS = 16
 _TABLE_GRADING = 60
-# Above 2048 panels per half-line (|w| (R^d - r0^d) > 1024) the table costs
-# more per frequency than QAWS plus QAWO: for the standard bump, d = 1,
+# Above 2048 panels per half-line (|w| (R^d - r0^d) > 1024) the table cost
+# more per frequency than the 1-d value did by QAWS plus QAWO, as measured
+# when the cap was set: for the standard bump, d = 1,
 # s = 1.15, 1.5 ms against 4.7 ms at 1024 panels, 2.1 against 5.5 at 2048,
 # 5.7 against 5.3 at 4096; for the bump on (-1.2, 1.8), whose halves do not
 # share nodes, 5.8 against 5.4 ms at 2048 (2 vCPUs, numpy 2.4.6)
@@ -222,9 +230,13 @@ def _power_weighted(f, R: float, s: complex, r0: float = 0.0, **kw):
     singularity exactly.  For complex s the weight would leave the
     oscillating r^{i Im s} in the integrand, where QAWS came out up to 3e-7
     off with an error estimate of 8e-10, so r^{s-1} stays in the integrand
-    under QAGS; so it does for r0 > 0, where it is smooth."""
+    under QAGS; so it does for r0 > 0, where it is smooth.  For real s
+    there it is the real part of the same complex power, so a real f
+    keeps a real integrand, which QUADPACK integrates in one pass."""
     if s.imag == 0.0 and r0 == 0.0:
         return quad_complex(f, 0.0, R, weight="alg", wvar=(s.real - 1.0, 0.0), **kw)
+    if s.imag == 0.0:
+        return quad_complex(lambda r: (r ** (s - 1.0)).real * f(r), r0, R, **kw)
     return quad_complex(lambda r: r ** (s - 1.0) * f(r), r0, R, **kw)
 
 
@@ -236,51 +248,67 @@ def _halflines(support) -> list[tuple[float, float, float]]:
     return [(sg, max(a, 0.0), b) for sg, a, b in ((1.0, lo, hi), (-1.0, -hi, -lo)) if b > 0.0]
 
 
-def _osc_halfline(phi: BumpFunction, sign: float, r0: float, R: float, A: float, d: int, s: complex, epsrel: float):
-    """int_{r0}^R r^{s-1} e^{-2 pi i A r^d} phi(sign r) dr  with the
-    stationary region [r0, max(r0, eps)], eps^d |A| = 1, integrated directly
-    and the oscillatory remainder integrated after t = r^d.  Each integrand
-    is one closure that calls phi once per node; at A = 0 it is real, so
-    QUADPACK makes one pass (see ``quad_complex``)."""
-    eps = R if A == 0.0 else min(R, abs(A) ** (-1.0 / d))
-    mid = max(r0, eps)
-    total, err = 0j, 0.0
-    if mid > r0:
-        if A == 0.0:
-            f = lambda r: phi(sign * r)
-        else:
-            k = -2j * math.pi * A
-            f = lambda r: cmath.exp(k * r**d) * phi(sign * r)
-        total, err = _power_weighted(f, mid, s, r0, epsrel=epsrel)
-    if mid < R:
-        power, inv = s.real / d - 1.0 if s.imag == 0.0 else s / d - 1.0, 1.0 / d
-        f = lambda t: inv * t**power * phi(sign * t**inv)
-        val, e2 = quad_oscillatory(f, mid**d, R**d, 2.0 * math.pi * A, epsrel=epsrel)
-        total += val
-        err += e2
-    return total, err
-
-
-def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex, epsrel: float) -> OscillatoryResult:
+def _osc_real_1d(phi: BumpFunction, a, d: int, s: complex) -> OscillatoryResult:
+    """int_R |x|^{s-1} e^{-2 pi i a x^d} phi(x) dx, summed over the
+    half-lines (sign, r0, R) of phi's support, x = sign r, each a row of
+    one ``_stationary_panel`` and one ``_filon`` call.  Where 0 lies
+    inside the support, every half-line starts at r0 = 0, and [0, e1] is
+    ``_stationary_panel`` on e^{-2 pi i A r^d} phi(sign r), A = a sign^d,
+    with the weight r^{s-1}: e1 = min(eps/2, R/4) over the rows,
+    eps^d |a| = 1, so the phase turns at most half a time and phi is
+    analytic well past the panel.  Where 0 is an end of the support, phi
+    vanishes there to all orders and there is no such panel.  The rest
+    [lo, R], lo = e1 or r0, becomes t = r^d = T0 + L u, T0 = lo^d,
+    L = R^d - T0, u in [0, 1], which puts the end of the support at u = 1
+    on every row: ``_filon`` at the frequencies 2 pi A L on
+    L t^{s/d-1} phi(sign t^{1/d}) / d, from the ``_filon_edges`` of the
+    longest row (the finest near u = 0), times e^{-2 pi i A T0}.  A bump centred at 0 is even, so
+    its mirrored half-line is the same integral at the frequency a (-1)^d:
+    for even d it is the first row again, and for odd d and real s its
+    conjugate; the first row is then computed alone."""
     a = float(a)
-    total, err = 0j, 0.0
-    for sign, r0, R in _halflines(phi.support):
-        v, e = _osc_halfline(phi, sign, r0, R, a * sign**d, d, s, epsrel)
-        total, err = total + v, err + e
-    return OscillatoryResult(total, exact=False, error=err)
+    halves = _halflines(phi.support)
+    mirror = phi.center == 0.0 and (d % 2 == 0 or s.imag == 0.0)
+    if mirror:
+        halves = halves[:1]
+    rows = np.array(halves)
+    sign, R = rows[:, :1], rows[:, 2:]
+    A, lo = a * sign**d, halves[0][1]
+    value, err = 0.0, 0.0
+    stationary = lo == 0.0 and 0.0 not in phi.support
+    if stationary:
+        if a:
+            k = -2j * math.pi * A
+            f, eps = (lambda r: np.exp(k * r**d) * phi.values(sign * r)), abs(a) ** (-1.0 / d)
+        else:
+            f, eps = (lambda r: phi.values(sign * r)), math.inf
+        value, err, lo = _stationary_panel(f, min(0.5 * eps, 0.25 * float(R.min())), s)
+    power, inv = s.real / d - 1.0 if s.imag == 0.0 else s / d - 1.0, 1.0 / d
+    T0 = lo**d
+    L = R**d - T0
+    scale = L * inv
+
+    def g(u):
+        t = T0 + L * u
+        return scale * t**power * phi.values(sign * (t if d == 1 else t**inv))
+
+    edges = _filon_edges(T0 / float(L.max()), stationary)
+    v, e = _filon(g, edges, (2.0 * math.pi * A * L).ravel() if a else 0.0)
+    if a:
+        v = v * _phase(2.0 * math.pi * A.ravel(), T0)
+    value, err = complex((value + v).sum()), float((err + e).sum())
+    if mirror:
+        value, err = (2.0 * value if d % 2 == 0 else complex(2.0 * value.real, 0.0)), 2.0 * err
+    return OscillatoryResult(value, exact=False, error=err)
 
 
 def _osc_complex_1d(phi: RadialBump, a, d: int, s: complex) -> OscillatoryResult:
     # dz = 2 dA and |z|_C = r^2; the angular integral of
     # e^{-4 pi i |a| r^d cos(d theta + alpha)} is 2 pi J_0(4 pi |a| r^d).
-    # For real s the radial integrand is real: the real part of the complex
-    # power r^(2s-1) keeps the bits it had in a complex integrand
-    w, profile = 2.0 * s - 1.0, phi.profile
-    if s.imag == 0.0:
-        g = lambda r: 4.0 * math.pi * (r**w).real * profile(r)
-    else:
-        g = lambda r: 4.0 * math.pi * r**w * profile(r)
-    val, err = radial_j0_integral(g, phi.radius, 4.0 * math.pi * abs(complex(a)), d, epsrel=_EPSREL_1D)
+    # For real s the radial integrand is real
+    w, values = 2.0 * s - 1.0, phi.profile.values
+    f = lambda r: 4.0 * math.pi * values(r)
+    val, err = radial_j0_integral(f, w.real if s.imag == 0.0 else w, phi.radius, 4.0 * math.pi * abs(complex(a)), d)
     return OscillatoryResult(val, exact=False, error=err)
 
 
@@ -305,7 +333,7 @@ def osc_integral_1d(place: Place, phi, a, d: int, s) -> OscillatoryResult:
     if place.is_finite:
         return _osc_finite_1d(phi, a, d, s)
     if place.kind == "real":
-        return _osc_real_1d(phi, a, d, s, _EPSREL_1D)
+        return _osc_real_1d(phi, a, d, s)
     return _osc_complex_1d(phi, a, d, s)
 
 
@@ -421,7 +449,7 @@ def _tabulated_transform(phi: BumpFunction, d: int, s: complex):
         while n < 2.0 * abs(w) * span and n <= _TABLE_MAX_PANELS:
             n *= 2
         if n > _TABLE_MAX_PANELS:
-            r = _osc_real_1d(phi, w, d, s, 1e-7)
+            r = _osc_real_1d(phi, w, d, s)
             return r.value, r.error
         if n not in tables:
             tables[n] = table(n)
@@ -435,7 +463,7 @@ def _tabulated_transform(phi: BumpFunction, d: int, s: complex):
 
 def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     """Iterated quadrature over half-lines.  Alone, coordinate 0 is the
-    1-d machinery at relative tolerance 1e-8; under an outer integral it is
+    1-d machinery, ``_osc_real_1d``; under an outer integral it is
     ``_tabulated_transform``, one Gauss-Legendre table evaluated by numpy
     at each frequency.  Each outer coordinate y_j with support (lo, hi) is
     split at 0 into |y_j| in [max(lo, 0), hi] and the mirrored
@@ -449,7 +477,7 @@ def _osc_arch_nd(phis, a, d, s) -> OscillatoryResult:
     prod int |phi_k| |y|^{Re s_k - 1} dy of the coordinates outside it."""
     n = len(phis)
     if n == 1:
-        return _osc_real_1d(phis[0], a, d[0], s[0], 1e-8)
+        return _osc_real_1d(phis[0], a, d[0], s[0])
     kw = dict(epsrel=1e-6, limit=200) if n == 2 else dict(epsrel=1e-5, limit=100)
     halves = [_halflines(phi.support) for phi in phis]
     inner = _tabulated_transform(phis[0], d[0], s[0])
